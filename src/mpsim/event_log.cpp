@@ -11,48 +11,9 @@ void EventRecorder::bind(int nprocs, const CostModel& cost) {
   clocks_.assign(static_cast<std::size_t>(nprocs), 0.0);
   cost_ = cost;
   bound_ = true;
-  primary_ = std::this_thread::get_id();
-  // Rebinding implies the previous run is over; any worker events still
-  // sitting unmerged in a ring belong to it and would corrupt the fresh
-  // clocks, so discard them (the recorded/drop totals stay cumulative).
-  std::lock_guard<std::mutex> g(slots_mu_);
-  for (auto& slot : slots_) {
-    slot->ring.tail.store(slot->ring.head.load(std::memory_order_acquire),
-                          std::memory_order_release);
-  }
 }
 
-bool EventRecorder::Ring::push(ExecEvent&& e) {
-  const std::size_t h = head.load(std::memory_order_relaxed);
-  const std::size_t t = tail.load(std::memory_order_acquire);
-  if (h - t >= buf.size()) return false;
-  buf[h % buf.size()] = std::move(e);
-  head.store(h + 1, std::memory_order_release);
-  return true;
-}
-
-EventRecorder::WorkerSlot* EventRecorder::worker_slot() {
-  const std::thread::id me = std::this_thread::get_id();
-  {
-    std::lock_guard<std::mutex> g(slots_mu_);
-    for (auto& slot : slots_) {
-      if (slot->claimed.load(std::memory_order_relaxed) &&
-          slot->owner == me) {
-        return slot.get();
-      }
-    }
-    if (static_cast<int>(slots_.size()) < kMaxWorkerSlots) {
-      slots_.push_back(std::make_unique<WorkerSlot>());
-      WorkerSlot* s = slots_.back().get();
-      s->owner = me;
-      s->claimed.store(true, std::memory_order_release);
-      return s;
-    }
-  }
-  return nullptr;
-}
-
-int EventRecorder::intern_locked(std::string_view name) {
+int EventRecorder::intern(std::string_view name) {
   for (std::size_t i = 0; i < names_.size(); ++i) {
     if (names_[i] == name) return static_cast<int>(i);
   }
@@ -60,29 +21,13 @@ int EventRecorder::intern_locked(std::string_view name) {
   return static_cast<int>(names_.size() - 1);
 }
 
-int EventRecorder::intern(std::string_view name) {
-  std::lock_guard<std::mutex> g(names_mu_);
-  return intern_locked(name);
-}
-
 void EventRecorder::open_phase(std::string_view name) {
-  const int id = intern(name);
-  if (on_primary()) {
-    stack_.push_back(id);
-    return;
-  }
-  if (WorkerSlot* s = worker_slot()) s->stack.push_back(id);
+  stack_.push_back(intern(name));
 }
 
 void EventRecorder::close_phase() {
-  if (on_primary()) {
-    assert(!stack_.empty());
-    stack_.pop_back();
-    return;
-  }
-  if (WorkerSlot* s = worker_slot()) {
-    if (!s->stack.empty()) s->stack.pop_back();
-  }
+  assert(!stack_.empty());
+  stack_.pop_back();
 }
 
 void EventRecorder::apply(ExecEvent&& e) {
@@ -163,48 +108,6 @@ void EventRecorder::apply(ExecEvent&& e) {
   }
 }
 
-void EventRecorder::record(ExecEvent&& e) {
-  e.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  if (on_primary()) {
-    apply(std::move(e));
-    return;
-  }
-  WorkerSlot* s = worker_slot();
-  if (s == nullptr || !s->ring.push(std::move(e))) {
-    ring_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  ++s->recorded;
-}
-
-std::size_t EventRecorder::merge_shards() {
-  assert(on_primary());
-  std::vector<ExecEvent> pending;
-  {
-    std::lock_guard<std::mutex> g(slots_mu_);
-    for (auto& slot : slots_) {
-      Ring& ring = slot->ring;
-      const std::size_t h = ring.head.load(std::memory_order_acquire);
-      std::size_t t = ring.tail.load(std::memory_order_relaxed);
-      for (; t != h; ++t) {
-        pending.push_back(std::move(ring.buf[t % ring.buf.size()]));
-      }
-      ring.tail.store(t, std::memory_order_release);
-    }
-  }
-  // Sequence stamps restore the global record order across rings; the
-  // clock arithmetic is then applied exactly as if each event had been
-  // recorded directly, so replay sees one causally ordered log.
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const ExecEvent& a, const ExecEvent& b) {
-                     return a.seq < b.seq;
-                   });
-  const std::size_t n = pending.size();
-  for (ExecEvent& e : pending) apply(std::move(e));
-  merged_events_ += n;
-  return n;
-}
-
 void EventRecorder::record_charge(Rank r, ChargeKind kind, Time dt,
                                   Time latency, double words_sent,
                                   double words_received,
@@ -214,18 +117,14 @@ void EventRecorder::record_charge(Rank r, ChargeKind kind, Time dt,
   e.type = ExecEvent::Type::Charge;
   e.kind = kind;
   e.rank = r;
-  if (on_primary()) {
-    e.phase = stack_.empty() ? 0 : stack_.back();
-  } else if (WorkerSlot* s = worker_slot()) {
-    e.phase = s->stack.empty() ? 0 : s->stack.back();
-  }
+  e.phase = stack_.empty() ? 0 : stack_.back();
   e.level = level;
   e.dt_us = dt;
   e.latency_us = latency;
   e.words_sent = words_sent;
   e.words_received = words_received;
   e.messages = messages;
-  record(std::move(e));
+  apply(std::move(e));
 }
 
 void EventRecorder::record_barrier(const char* what,
@@ -235,7 +134,7 @@ void EventRecorder::record_barrier(const char* what,
   e.type = ExecEvent::Type::Barrier;
   e.what = what;
   e.members = members;
-  record(std::move(e));
+  apply(std::move(e));
 }
 
 void EventRecorder::record_timeout(Rank dead,
@@ -245,7 +144,7 @@ void EventRecorder::record_timeout(Rank dead,
   e.type = ExecEvent::Type::Timeout;
   e.rank = dead;
   e.members = survivors;
-  record(std::move(e));
+  apply(std::move(e));
 }
 
 void EventRecorder::record_retry(Rank faulty,
@@ -257,7 +156,7 @@ void EventRecorder::record_retry(Rank faulty,
   e.rank = faulty;
   e.members = members;
   e.mult = mult;
-  record(std::move(e));
+  apply(std::move(e));
 }
 
 void EventRecorder::record_wait(Rank r, Time until) {
@@ -266,7 +165,7 @@ void EventRecorder::record_wait(Rank r, Time until) {
   e.type = ExecEvent::Type::Wait;
   e.rank = r;
   e.until_us = until;
-  record(std::move(e));
+  apply(std::move(e));
 }
 
 void EventRecorder::record_wait_for(Rank r, Rank src) {
@@ -275,7 +174,7 @@ void EventRecorder::record_wait_for(Rank r, Rank src) {
   e.type = ExecEvent::Type::WaitFor;
   e.rank = r;
   e.peer = src;
-  record(std::move(e));
+  apply(std::move(e));
 }
 
 void EventRecorder::record_collective(const char* kind,
@@ -288,17 +187,7 @@ void EventRecorder::record_collective(const char* kind,
   e.members = members;
   e.words = words;
   e.dim = dim;
-  record(std::move(e));
-}
-
-std::vector<EventRecorder::WorkerStats> EventRecorder::worker_stats() const {
-  std::vector<WorkerStats> out;
-  std::lock_guard<std::mutex> g(slots_mu_);
-  int i = 0;
-  for (const auto& slot : slots_) {
-    out.push_back(WorkerStats{i++, slot->recorded});
-  }
-  return out;
+  apply(std::move(e));
 }
 
 Time EventRecorder::max_clock() const {

@@ -25,28 +25,11 @@
 // mpsim so that Machine can call it without depending on obs; the obs
 // layer owns one (obs::Observability::enable_event_log) and serializes it
 // (obs::write_events, schema "pdt-events-v1").
-//
-// Thread-safety (DESIGN.md §14): primary-thread direct, worker-thread
-// ring-buffered. The thread that calls bind() is the primary recording
-// thread; its events append directly and advance the shadow clocks
-// exactly as before. Any other thread records through a claimed
-// per-thread bounded SPSC ring (a full ring drops the event and counts
-// it — never blocks, never races); every event carries a global
-// sequence stamp. merge_shards(), called from the primary after workers
-// quiesce, drains all rings, orders the drained events by stamp, and
-// applies them — append plus the identical clock arithmetic — so the
-// serialized log preserves the causal order pdt-replay needs. A
-// single-thread run never touches a ring and its log is byte-identical
-// to the pre-sharding recorder's.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "mpsim/cost_model.hpp"
@@ -86,25 +69,15 @@ struct ExecEvent {
   double mult = 1.0;        ///< Retry: backoff multiplier on t_timeout
   const char* what = "";    ///< Barrier/Collective label (string literal)
   std::vector<Rank> members;  ///< Barrier/Timeout/Collective member set
-  /// Global record-order stamp (not serialized): merge_shards() uses it
-  /// to restore causal order across per-thread rings.
-  std::uint64_t seq = 0;
 };
 
 class EventRecorder {
  public:
-  /// Worker ring capacity (events per recording worker thread between
-  /// merges); a full ring drops and counts instead of blocking.
-  static constexpr std::size_t kRingCapacity = 8192;
-  /// Worker threads that can record concurrently; later claimants drop.
-  static constexpr int kMaxWorkerSlots = 64;
-
   /// (Re)bind to a machine of `nprocs` ranks using `cost`: clears the
-  /// event log and shadow clocks and makes the calling thread the
-  /// primary recording thread. Called by Machine::set_event_recorder
+  /// event log and shadow clocks. Called by Machine::set_event_recorder
   /// and Machine::reset; the interned phase names and the open phase
-  /// stacks survive, since phase scopes may already be open when the
-  /// machine is created. Pending (unmerged) worker events are discarded.
+  /// stack survive, since phase scopes may already be open when the
+  /// machine is created.
   void bind(int nprocs, const CostModel& cost);
   [[nodiscard]] bool bound() const { return bound_; }
 
@@ -125,12 +98,6 @@ class EventRecorder {
   void open_phase(std::string_view name);
   void close_phase();
 
-  /// Drain every worker ring, restore global order by sequence stamp,
-  /// and apply the drained events (append + shadow-clock arithmetic).
-  /// Primary-thread only, after the workers have quiesced. Returns the
-  /// number of events merged. Single-thread runs never need it.
-  std::size_t merge_shards();
-
   [[nodiscard]] const std::vector<ExecEvent>& events() const {
     return events_;
   }
@@ -146,49 +113,10 @@ class EventRecorder {
   [[nodiscard]] const std::vector<Time>& clocks() const { return clocks_; }
   [[nodiscard]] Time max_clock() const;
 
-  /// Worker events dropped on full rings or exhausted worker slots.
-  [[nodiscard]] std::uint64_t ring_dropped() const {
-    return ring_dropped_.load(std::memory_order_relaxed);
-  }
-  /// Cumulative events drained by merge_shards().
-  [[nodiscard]] std::uint64_t merged_events() const { return merged_events_; }
-  /// Worker slots claimed so far with the events each recorded
-  /// (cumulative), in claim order. Quiesced-readers only.
-  struct WorkerStats {
-    int slot = 0;
-    std::uint64_t recorded = 0;
-  };
-  [[nodiscard]] std::vector<WorkerStats> worker_stats() const;
-
  private:
-  /// Bounded SPSC ring: the owning worker pushes, merge_shards() pops.
-  struct Ring {
-    std::vector<ExecEvent> buf = std::vector<ExecEvent>(kRingCapacity);
-    std::atomic<std::size_t> head{0};  ///< next write (producer-owned)
-    std::atomic<std::size_t> tail{0};  ///< next read (consumer-owned)
-
-    bool push(ExecEvent&& e);
-  };
-  struct WorkerSlot {
-    std::atomic<bool> claimed{false};
-    std::thread::id owner;
-    Ring ring;
-    std::vector<int> stack;           ///< the worker's open-phase stack
-    std::uint64_t recorded = 0;       ///< events pushed (owner-written)
-  };
-
   [[nodiscard]] int intern(std::string_view name);
-  [[nodiscard]] int intern_locked(std::string_view name);
-  [[nodiscard]] bool on_primary() const {
-    return std::this_thread::get_id() == primary_;
-  }
-  /// The calling worker's slot, claimed on first use; nullptr when all
-  /// kMaxWorkerSlots are taken (the caller drops and counts).
-  WorkerSlot* worker_slot();
-  /// Append + shadow-clock arithmetic, shared by the primary direct
-  /// path and the merge-on-flush path.
+  /// Append + shadow-clock arithmetic (mirrors Machine's update).
   void apply(ExecEvent&& e);
-  void record(ExecEvent&& e);
 
   std::vector<ExecEvent> events_;
   std::vector<std::string> names_{"(unattributed)"};
@@ -196,14 +124,6 @@ class EventRecorder {
   std::vector<Time> clocks_;
   CostModel cost_{};
   bool bound_ = false;
-
-  std::thread::id primary_ = std::this_thread::get_id();
-  std::atomic<std::uint64_t> seq_{0};
-  std::mutex names_mu_;
-  mutable std::mutex slots_mu_;
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::atomic<std::uint64_t> ring_dropped_{0};
-  std::uint64_t merged_events_ = 0;
 };
 
 }  // namespace pdt::mpsim

@@ -5,10 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "obs/fingerprint.hpp"
-#include "obs/threads.hpp"
 
 namespace pdt::obs {
 
@@ -764,118 +762,6 @@ void write_host(JsonWriter& w, const HostProfiler& host) {
 void write_host_report(std::ostream& os, const HostProfiler& host) {
   JsonWriter w(os);
   write_host(w, host);
-  os << '\n';
-}
-
-// ------------------------------------------------------------- threads --
-
-namespace {
-
-/// One collector entry: headline sample count, live shard occupancy in
-/// shard-id order, the fold-order provenance of past merges, and the
-/// events the collector dropped for want of a shard.
-void write_collector(JsonWriter& w, const char* name,
-                     const std::vector<ShardSample>& shards,
-                     const std::vector<ShardSample>& merged,
-                     std::uint64_t dropped) {
-  std::uint64_t samples = 0;
-  for (const ShardSample& s : merged) samples += s.samples;
-  for (const ShardSample& s : shards) samples += s.samples;
-  w.begin_object();
-  w.kv("name", name);
-  w.kv("samples", samples);
-  w.key("shards").begin_array();
-  for (const ShardSample& s : shards) {
-    w.begin_object();
-    w.kv("shard", s.shard);
-    w.kv("samples", s.samples);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("merge_order").begin_array();
-  for (const ShardSample& s : merged) {
-    w.begin_object();
-    w.kv("shard", s.shard);
-    w.kv("samples", s.samples);
-    w.end_object();
-  }
-  w.end_array();
-  w.kv("dropped", dropped);
-  w.end_object();
-}
-
-}  // namespace
-
-void write_threads(JsonWriter& w, const Observability& o) {
-  w.begin_object();
-  w.kv("schema", "pdt-threads-v1");
-  w.kv("hardware_concurrency",
-       static_cast<int>(std::thread::hardware_concurrency()));
-  w.kv("max_shards", kMaxShards);
-
-  const ThreadRegistry::Stats reg = ThreadRegistry::instance().stats();
-  w.key("registry").begin_object();
-  w.kv("registered", reg.registered);
-  w.kv("overflow", reg.overflow);
-  w.kv("active", reg.active);
-  w.kv("peak_active", reg.peak_active);
-  w.end_object();
-
-  w.key("collectors").begin_array();
-  write_collector(w, "phase", o.profiler().shard_samples(),
-                  o.profiler().merged_samples(), o.profiler().dropped());
-  if (o.host_profiler() != nullptr) {
-    write_collector(w, "host", o.host_profiler()->shard_samples(),
-                    o.host_profiler()->merged_samples(),
-                    o.host_profiler()->dropped());
-  }
-  write_collector(w, "metrics", o.metrics().shard_samples(),
-                  o.metrics().merged_samples(), 0);
-  write_collector(w, "mem", o.mem_ledger().shard_samples(),
-                  o.mem_ledger().merged_samples(), o.mem_ledger().dropped());
-  if (o.event_log() != nullptr) {
-    const mpsim::EventRecorder& rec = *o.event_log();
-    std::vector<ShardSample> shards;
-    for (const mpsim::EventRecorder::WorkerStats& s : rec.worker_stats()) {
-      shards.push_back(ShardSample{s.slot, s.recorded});
-    }
-    std::vector<ShardSample> merged;
-    if (rec.merged_events() > 0) {
-      merged.push_back(ShardSample{-1, rec.merged_events()});
-    }
-    write_collector(w, "events", shards, merged, rec.ring_dropped());
-  }
-  w.end_array();
-
-  w.key("drops").begin_object();
-  w.kv("phase", o.profiler().dropped());
-  w.kv("mem", o.mem_ledger().dropped());
-  if (o.host_profiler() != nullptr) {
-    w.kv("host", o.host_profiler()->dropped());
-    w.kv("host_clamped", o.host_profiler()->clamped());
-  }
-  if (o.event_log() != nullptr) {
-    w.kv("event_ring_dropped", o.event_log()->ring_dropped());
-  }
-  w.end_object();
-
-  w.key("locks").begin_array();
-  for (const LockStats& l : ContentionRegistry::instance().stats()) {
-    w.begin_object();
-    w.kv("name", l.name);
-    w.kv("acquisitions", l.acquisitions);
-    w.kv("contended", l.contended);
-    w.kv("wait_ns", l.wait_ns);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.end_object();
-}
-
-void write_threads_report(std::ostream& os, const Observability& o) {
-  JsonWriter w(os);
-  write_threads(w, o);
   os << '\n';
 }
 

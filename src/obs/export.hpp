@@ -37,12 +37,7 @@
 //    paired with the virtual microseconds the same cell accumulated, plus
 //    a per-phase rollup ranking where simulated and real time diverge.
 //    Schema in DESIGN.md §9.
-//
-//  * write_threads — the concurrency report ("pdt-threads-v1"): the
-//    thread registry's shard census, per-collector shard occupancy and
-//    merge provenance, the clamp/drop counters, and the lock-contention
-//    telemetry from every obs::InstrumentedMutex. Schema in DESIGN.md
-//    §14.
+
 #pragma once
 
 #include <cstdint>
@@ -162,18 +157,5 @@ void write_host(JsonWriter& w, const HostProfiler& host);
 
 /// Standalone file variant of write_host.
 void write_host_report(std::ostream& os, const HostProfiler& host);
-
-/// Emit the "pdt-threads-v1" concurrency report as one JSON object value
-/// on `w`: hardware concurrency, the thread registry's shard census,
-/// each collector's per-shard sample counts (live shards plus the
-/// merge-provenance log of folded shards in fold order), the drop/clamp
-/// counters (shardless-thread drops, full event rings, host-clock
-/// clamps), and the acquisition/contention/wait telemetry of every
-/// instrumented runtime lock. Quiesced-callers only, like every folding
-/// accessor it reads.
-void write_threads(JsonWriter& w, const Observability& o);
-
-/// Standalone file variant of write_threads.
-void write_threads_report(std::ostream& os, const Observability& o);
 
 }  // namespace pdt::obs

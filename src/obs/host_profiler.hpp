@@ -23,14 +23,8 @@
 // single bit (the parity suite enforces this). When disabled it costs
 // exactly one null-pointer branch in the observer fanout.
 //
-// Thread-safety (DESIGN.md §14): shard-per-thread. The interval chain
-// (started/last_ns) is inherently per-thread — each charging thread
-// anchors and advances its own chain against the shared clock — and the
-// cells accumulate in the calling thread's shard. Folding accessors
-// iterate shards in shard-id order after writers quiesce; one thread ⇒
-// one shard ⇒ byte-identical exports. A clock step that would go
-// backwards is clamped to zero *and counted* (clamped()), surfaced in
-// pdt-host-v1 and the pdt-threads-v1 drop/clamp block.
+// A clock step that would go backwards is clamped to zero *and counted*
+// (clamped()), and the count is surfaced in pdt-host-v1.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +33,6 @@
 #include "mpsim/observer.hpp"
 #include "obs/host_clock.hpp"
 #include "obs/phase.hpp"
-#include "obs/threads.hpp"
 
 namespace pdt::obs {
 
@@ -84,9 +77,8 @@ class HostProfiler {
                         HostProfilerConfig cfg = {});
 
   /// Observer hook, called (via ObserverFanout) after every Machine
-  /// charge: attributes the host time since the calling thread's
-  /// previous sample to the currently open (phase, level) at rank r
-  /// under the charge's kind.
+  /// charge: attributes the host time since the previous sample to the
+  /// currently open (phase, level) at rank r under the charge's kind.
   void on_charge(mpsim::Rank r, mpsim::ChargeKind kind);
 
   /// One (phase, level, rank) row of the host breakdown.
@@ -107,32 +99,16 @@ class HostProfiler {
                                         bool any_level = false) const;
 
   /// Host nanoseconds attributed so far, over all cells.
-  [[nodiscard]] std::int64_t total_ns() const;
-  [[nodiscard]] std::uint64_t samples() const;
-  [[nodiscard]] int num_ranks() const;
-  [[nodiscard]] int max_level() const;
+  [[nodiscard]] std::int64_t total_ns() const { return s_.total_ns; }
+  [[nodiscard]] std::uint64_t samples() const { return s_.samples; }
+  [[nodiscard]] int num_ranks() const { return s_.num_ranks; }
+  [[nodiscard]] int max_level() const { return s_.max_level; }
   /// Samples whose clock step would have been negative and was clamped
   /// to zero (a well-behaved monotonic clock never trips this).
-  [[nodiscard]] std::uint64_t clamped() const;
-  /// Samples dropped because the thread registry ran out of shard ids.
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t clamped() const { return s_.clamped; }
 
   [[nodiscard]] const char* clock_name() const { return clock_->name(); }
   [[nodiscard]] const PhaseProfiler* stamps() const { return stamps_; }
-
-  /// Fold every live shard into the merged store in shard-id order,
-  /// recording provenance and resetting the folded shards (their
-  /// interval anchors survive, so later charges keep attributing).
-  /// Quiesced-callers only; single-thread runs never need it.
-  void merge();
-  /// Live per-shard sample counts, in shard-id order.
-  [[nodiscard]] std::vector<ShardSample> shard_samples() const;
-  /// Provenance of every merge() so far (fold order).
-  [[nodiscard]] const std::vector<ShardSample>& merged_samples() const {
-    return merged_samples_;
-  }
 
   /// Hardware counter snapshot (enabled == false when the platform or
   /// kernel does not provide perf_event_open counters, or when the
@@ -150,7 +126,7 @@ class HostProfiler {
     std::uint64_t key = ~0ull;
     HostTotals totals;
   };
-  struct ShardState {
+  struct State {
     bool started = false;
     std::int64_t last_ns = 0;
     std::int64_t total_ns = 0;
@@ -162,18 +138,13 @@ class HostProfiler {
     std::size_t cells_used = 0;
     std::size_t last_hit = static_cast<std::size_t>(-1);
   };
-  static HostTotals& cell(ShardState& s, PhaseId p, int level, mpsim::Rank r);
-  static void grow_cells(ShardState& s);
+  HostTotals& cell(PhaseId p, int level, mpsim::Rank r);
+  void grow_cells();
   template <typename Fn>
   void for_each_cell(Fn&& fn) const {
-    for (const Cell& c : merged_.cells) {
+    for (const Cell& c : s_.cells) {
       if (c.key != ~0ull) fn(c);
     }
-    shards_.for_each([&](int, const ShardState& s) {
-      for (const Cell& c : s.cells) {
-        if (c.key != ~0ull) fn(c);
-      }
-    });
   }
 
   HostProfilerConfig cfg_;
@@ -182,10 +153,7 @@ class HostProfiler {
   HostClock* clock_;
   HostCounterGroup counter_group_;
 
-  ShardSlots<ShardState> shards_{"obs.host.shards"};
-  ShardState merged_;
-  std::vector<ShardSample> merged_samples_;
-  std::atomic<std::uint64_t> dropped_{0};
+  State s_;
 };
 
 }  // namespace pdt::obs

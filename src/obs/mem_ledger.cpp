@@ -41,140 +41,45 @@ std::uint64_t MemLedger::key(mpsim::MemTag tag, mpsim::Rank r) const {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(r));
 }
 
-void MemLedger::ensure_rank(ShardState& s, mpsim::Rank r) {
-  if (static_cast<std::size_t>(r) >= s.ranks.size()) {
-    s.ranks.resize(static_cast<std::size_t>(r) + 1);
+MemLedger::RankAccount& MemLedger::ensure_rank(mpsim::Rank r) {
+  if (static_cast<std::size_t>(r) >= ranks_.size()) {
+    ranks_.resize(static_cast<std::size_t>(r) + 1);
   }
+  return ranks_[static_cast<std::size_t>(r)];
 }
 
 void MemLedger::on_alloc(mpsim::Rank r, mpsim::MemTag tag,
                          std::int64_t bytes) {
   assert(bytes > 0);
-  ShardState* s = shards_.local();
-  if (s == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  ensure_rank(*s, r);
-  RankAccount& a = s->ranks[static_cast<std::size_t>(r)];
+  RankAccount& a = ensure_rank(r);
   a.live += bytes;
   a.charged += bytes;
   if (a.live > a.peak) a.peak = a.live;
-  Cell& c = s->cells[key(tag, r)];
+  Cell& c = cells_[key(tag, r)];
   c.live += bytes;
   if (c.live > c.peak) c.peak = c.live;
-  ++s->events;
+  ++events_;
 }
 
 void MemLedger::on_free(mpsim::Rank r, mpsim::MemTag tag, std::int64_t bytes) {
   assert(bytes > 0);
-  ShardState* s = shards_.local();
-  if (s == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  ensure_rank(*s, r);
-  RankAccount& a = s->ranks[static_cast<std::size_t>(r)];
+  RankAccount& a = ensure_rank(r);
   a.live -= bytes;
   a.released += bytes;
-  // A release is attributed to the shard and cell of the *current*
-  // thread/scope, which may differ from where the bytes were charged
-  // (records charged at the root, released when a leaf closes levels
-  // later — or charged on one worker and released on another). Shard
-  // live may therefore legitimately go negative; the clamp to zero is
-  // applied at fold time (rank_account), where the cross-shard sum is
-  // the per-rank account that cannot go negative.
-  Cell& c = s->cells[key(tag, r)];
+  // A release is attributed to the cell of the *current* scope, which may
+  // differ from where the bytes were charged (records charged at the
+  // root, released when a leaf closes levels later), so a cell's live may
+  // go negative. The per-rank account cannot: Machine::free_bytes asserts
+  // that a rank never frees more than it holds.
+  Cell& c = cells_[key(tag, r)];
   c.live -= bytes;
-  ++s->events;
-}
-
-MemLedger::RankAccount MemLedger::rank_account(mpsim::Rank r) const {
-  const auto i = static_cast<std::size_t>(r);
-  RankAccount sum;
-  if (i < merged_.ranks.size()) sum += merged_.ranks[i];
-  shards_.for_each([&](int, const ShardState& s) {
-    if (i < s.ranks.size()) sum += s.ranks[i];
-  });
-  // Shard-local live may be negative (a free landing in a different
-  // shard than its alloc); the folded per-rank account cannot be.
-  if (sum.live < 0) sum.live = 0;
-  return sum;
-}
-
-std::map<std::uint64_t, MemLedger::Cell> MemLedger::folded_cells() const {
-  std::map<std::uint64_t, Cell> out = merged_.cells;
-  shards_.for_each([&](int, const ShardState& s) {
-    for (const auto& [k, c] : s.cells) {
-      Cell& dst = out[k];
-      dst.live += c.live;
-      dst.peak += c.peak;
-    }
-  });
-  return out;
-}
-
-int MemLedger::num_ranks() const {
-  std::size_t n = merged_.ranks.size();
-  shards_.for_each(
-      [&](int, const ShardState& s) { n = std::max(n, s.ranks.size()); });
-  return static_cast<int>(n);
-}
-
-std::int64_t MemLedger::live_bytes(mpsim::Rank r) const {
-  return rank_account(r).live;
-}
-
-std::int64_t MemLedger::peak_bytes(mpsim::Rank r) const {
-  return rank_account(r).peak;
-}
-
-std::int64_t MemLedger::charged_bytes(mpsim::Rank r) const {
-  return rank_account(r).charged;
-}
-
-std::int64_t MemLedger::released_bytes(mpsim::Rank r) const {
-  return rank_account(r).released;
-}
-
-std::uint64_t MemLedger::events() const {
-  std::uint64_t n = merged_.events;
-  shards_.for_each([&](int, const ShardState& s) { n += s.events; });
-  return n;
-}
-
-void MemLedger::merge() {
-  shards_.for_each_mut([&](int i, ShardState& s) {
-    merged_samples_.push_back(ShardSample{i, s.events});
-    if (merged_.ranks.size() < s.ranks.size()) {
-      merged_.ranks.resize(s.ranks.size());
-    }
-    for (std::size_t r = 0; r < s.ranks.size(); ++r) {
-      merged_.ranks[r] += s.ranks[r];
-    }
-    for (const auto& [k, c] : s.cells) {
-      Cell& dst = merged_.cells[k];
-      dst.live += c.live;
-      dst.peak += c.peak;
-    }
-    merged_.events += s.events;
-    s = ShardState{};
-  });
-}
-
-std::vector<ShardSample> MemLedger::shard_samples() const {
-  std::vector<ShardSample> out;
-  shards_.for_each([&](int i, const ShardState& s) {
-    out.push_back(ShardSample{i, s.events});
-  });
-  return out;
+  ++events_;
 }
 
 std::vector<MemLedger::Row> MemLedger::rows() const {
-  const std::map<std::uint64_t, Cell> cells = folded_cells();
   std::vector<Row> out;
-  out.reserve(cells.size());
-  for (const auto& [k, c] : cells) {
+  out.reserve(cells_.size());
+  for (const auto& [k, c] : cells_) {
     Row row;
     row.tag = key_tag(k);
     row.phase = key_phase(k);

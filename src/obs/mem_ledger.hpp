@@ -14,13 +14,6 @@
 // it is fed through the Machine's single observer slot (via
 // ObserverFanout) and can never change simulated time or the byte
 // accounts themselves.
-//
-// Thread-safety (DESIGN.md §14): shard-per-thread. Events accumulate in
-// the calling thread's shard (stamped through the profiler's per-thread
-// scope state); folding accessors iterate shards in shard-id order
-// after writers quiesce. Peaks fold additively — the sum of per-shard
-// peaks is an upper bound on the true concurrent peak (exact for one
-// shard, so single-thread exports stay byte-identical).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +23,6 @@
 #include "mpsim/observer.hpp"
 #include "mpsim/stats.hpp"
 #include "obs/phase.hpp"
-#include "obs/threads.hpp"
 
 namespace pdt::obs {
 
@@ -45,18 +37,24 @@ class MemLedger {
   void on_free(mpsim::Rank r, mpsim::MemTag tag, std::int64_t bytes);
 
   /// Number of ranks seen (== 1 + max rank that charged memory).
-  [[nodiscard]] int num_ranks() const;
-  [[nodiscard]] std::int64_t live_bytes(mpsim::Rank r) const;
-  [[nodiscard]] std::int64_t peak_bytes(mpsim::Rank r) const;
+  [[nodiscard]] int num_ranks() const {
+    return static_cast<int>(ranks_.size());
+  }
+  [[nodiscard]] std::int64_t live_bytes(mpsim::Rank r) const {
+    return account(r).live;
+  }
+  [[nodiscard]] std::int64_t peak_bytes(mpsim::Rank r) const {
+    return account(r).peak;
+  }
   /// Total bytes ever charged / released by rank r. Equal at algorithm
   /// teardown: every structure the run allocates, it must release.
-  [[nodiscard]] std::int64_t charged_bytes(mpsim::Rank r) const;
-  [[nodiscard]] std::int64_t released_bytes(mpsim::Rank r) const;
-  [[nodiscard]] std::uint64_t events() const;
-  /// Events dropped because the thread registry ran out of shard ids.
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::int64_t charged_bytes(mpsim::Rank r) const {
+    return account(r).charged;
   }
+  [[nodiscard]] std::int64_t released_bytes(mpsim::Rank r) const {
+    return account(r).released;
+  }
+  [[nodiscard]] std::uint64_t events() const { return events_; }
 
   /// One (tag, phase, level, rank) attribution cell.
   struct Row {
@@ -76,16 +74,6 @@ class MemLedger {
   [[nodiscard]] std::vector<Row> top_segments(mpsim::Rank r,
                                               std::size_t k) const;
 
-  /// Fold every live shard into the merged store in shard-id order,
-  /// recording provenance and resetting the folded shards.
-  /// Quiesced-callers only; single-thread runs never need it.
-  void merge();
-  /// Live per-shard event counts, in shard-id order.
-  [[nodiscard]] std::vector<ShardSample> shard_samples() const;
-  [[nodiscard]] const std::vector<ShardSample>& merged_samples() const {
-    return merged_samples_;
-  }
-
   /// Analytic Section-4 prediction for the run this ledger observed,
   /// recorded by the formulation at setup time (empty if none was set).
   void set_predicted(const mpsim::MemPredicted& p) { predicted_ = p; }
@@ -101,42 +89,29 @@ class MemLedger {
     std::int64_t peak = 0;
     std::int64_t charged = 0;
     std::int64_t released = 0;
-
-    RankAccount& operator+=(const RankAccount& o) {
-      live += o.live;
-      peak += o.peak;
-      charged += o.charged;
-      released += o.released;
-      return *this;
-    }
   };
   struct Cell {
     std::int64_t live = 0;
     std::int64_t peak = 0;
   };
-  struct ShardState {
-    std::vector<RankAccount> ranks;
-    // Ordered map keyed (tag, phase, level+1, rank) packed MSB-first, so
-    // iteration order == export order. Memory events are per level / per
-    // chunk, not per record, so the tree lookup is off the hot path.
-    std::map<std::uint64_t, Cell> cells;
-    std::uint64_t events = 0;
-  };
 
-  static void ensure_rank(ShardState& s, mpsim::Rank r);
   [[nodiscard]] std::uint64_t key(mpsim::MemTag tag, mpsim::Rank r) const;
-  /// Per-rank accounts folded across shards for rank r.
-  [[nodiscard]] RankAccount rank_account(mpsim::Rank r) const;
-  /// All cells folded across shards into one ordered map (live and peak
-  /// both sum; see the peak caveat above).
-  [[nodiscard]] std::map<std::uint64_t, Cell> folded_cells() const;
+  /// Rank r's account, growing the table on first use.
+  RankAccount& ensure_rank(mpsim::Rank r);
+  /// Rank r's account (all zero for a rank that never charged memory).
+  [[nodiscard]] RankAccount account(mpsim::Rank r) const {
+    const auto i = static_cast<std::size_t>(r);
+    return i < ranks_.size() ? ranks_[i] : RankAccount{};
+  }
 
   const PhaseProfiler* profiler_;
   mpsim::MemPredicted predicted_;
-  ShardSlots<ShardState> shards_{"obs.mem.shards"};
-  ShardState merged_;
-  std::vector<ShardSample> merged_samples_;
-  std::atomic<std::uint64_t> dropped_{0};
+  std::vector<RankAccount> ranks_;
+  // Ordered map keyed (tag, phase, level+1, rank) packed MSB-first, so
+  // iteration order == export order. Memory events are per level / per
+  // chunk, not per record, so the tree lookup is off the hot path.
+  std::map<std::uint64_t, Cell> cells_;
+  std::uint64_t events_ = 0;
 };
 
 }  // namespace pdt::obs

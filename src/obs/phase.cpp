@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <mutex>
 
 #include "mpsim/event_log.hpp"
 
@@ -25,7 +24,6 @@ PhaseProfiler::PhaseProfiler(ProfilerConfig cfg) : cfg_(cfg) {
 }
 
 PhaseId PhaseProfiler::intern(std::string_view name) {
-  std::lock_guard<InstrumentedMutex> g(names_mu_);
   for (std::size_t i = 0; i < names_.size(); ++i) {
     if (names_[i] == name) return static_cast<PhaseId>(i);
   }
@@ -34,80 +32,59 @@ PhaseId PhaseProfiler::intern(std::string_view name) {
 }
 
 void PhaseProfiler::open(std::string_view name) {
-  if (ShardState* s = shards_.local()) s->stack.push_back(intern(name));
+  s_.stack.push_back(intern(name));
   if (sink_ != nullptr) sink_->open_phase(name);
 }
 
 void PhaseProfiler::close() {
-  if (ShardState* s = shards_.local(); s != nullptr && !s->stack.empty()) {
-    s->stack.pop_back();
-  }
+  if (!s_.stack.empty()) s_.stack.pop_back();
   if (sink_ != nullptr) sink_->close_phase();
 }
 
 int PhaseProfiler::set_level(int level) {
-  ShardState* s = shards_.local();
-  if (s == nullptr) return kNoLevel;
-  const int prev = s->level;
-  s->level = level;
-  s->max_level = std::max(s->max_level, level);
+  const int prev = s_.level;
+  s_.level = level;
+  s_.max_level = std::max(s_.max_level, level);
   return prev;
 }
 
-int PhaseProfiler::current_level() const {
-  const ShardState* s = shards_.peek_local();
-  return s != nullptr ? s->level : kNoLevel;
-}
-
-PhaseId PhaseProfiler::current_phase() const {
-  const ShardState* s = shards_.peek_local();
-  return s != nullptr && !s->stack.empty() ? s->stack.back() : 0;
-}
-
-void PhaseProfiler::grow_cells(ShardState& s) {
-  std::vector<Cell> bigger(s.cells.size() * 2);
-  for (const Cell& c : s.cells) {
+void PhaseProfiler::grow_cells() {
+  std::vector<Cell> bigger(s_.cells.size() * 2);
+  for (const Cell& c : s_.cells) {
     if (c.key == ~0ull) continue;
     std::size_t i = hash64(c.key) & (bigger.size() - 1);
     while (bigger[i].key != ~0ull) i = (i + 1) & (bigger.size() - 1);
     bigger[i] = c;
   }
-  s.cells = std::move(bigger);
-  s.last_hit = static_cast<std::size_t>(-1);
+  s_.cells = std::move(bigger);
+  s_.last_hit = static_cast<std::size_t>(-1);
 }
 
-PhaseTotals& PhaseProfiler::cell(ShardState& s, PhaseId p, int level,
-                                 mpsim::Rank r) {
+PhaseTotals& PhaseProfiler::cell(PhaseId p, int level, mpsim::Rank r) {
   const std::uint64_t key = pack(p, level, r);
-  if (s.last_hit != static_cast<std::size_t>(-1) &&
-      s.cells[s.last_hit].key == key) {
-    return s.cells[s.last_hit].totals;
+  if (s_.last_hit != static_cast<std::size_t>(-1) &&
+      s_.cells[s_.last_hit].key == key) {
+    return s_.cells[s_.last_hit].totals;
   }
-  if (s.cells_used * 2 >= s.cells.size()) grow_cells(s);
-  std::size_t i = hash64(key) & (s.cells.size() - 1);
-  while (s.cells[i].key != ~0ull && s.cells[i].key != key) {
-    i = (i + 1) & (s.cells.size() - 1);
+  if (s_.cells_used * 2 >= s_.cells.size()) grow_cells();
+  std::size_t i = hash64(key) & (s_.cells.size() - 1);
+  while (s_.cells[i].key != ~0ull && s_.cells[i].key != key) {
+    i = (i + 1) & (s_.cells.size() - 1);
   }
-  if (s.cells[i].key == ~0ull) {
-    s.cells[i].key = key;
-    ++s.cells_used;
+  if (s_.cells[i].key == ~0ull) {
+    s_.cells[i].key = key;
+    ++s_.cells_used;
   }
-  s.last_hit = i;
-  return s.cells[i].totals;
+  s_.last_hit = i;
+  return s_.cells[i].totals;
 }
 
 void PhaseProfiler::on_charge(mpsim::Rank r, mpsim::ChargeKind kind,
                               mpsim::Time start, mpsim::Time dt,
                               double words_sent, double words_received) {
-  ShardState* s = shards_.local();
-  if (s == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  s->num_ranks = std::max(s->num_ranks, r + 1);
-  ++s->samples;
-  const PhaseId p = s->stack.empty() ? 0 : s->stack.back();
-  PhaseTotals& t = cell(*s, p, s->level, r);
+  s_.num_ranks = std::max(s_.num_ranks, r + 1);
+  const PhaseId p = current_phase();
+  PhaseTotals& t = cell(p, s_.level, r);
   switch (kind) {
     case mpsim::ChargeKind::Compute: t.compute += dt; break;
     case mpsim::ChargeKind::Comm: t.comm += dt; break;
@@ -119,7 +96,6 @@ void PhaseProfiler::on_charge(mpsim::Rank r, mpsim::ChargeKind kind,
   ++t.charges;
 
   if (!cfg_.timeline) return;
-  std::lock_guard<InstrumentedMutex> g(slices_mu_);
   if (static_cast<std::size_t>(r) >= last_slice_.size()) {
     last_slice_.resize(static_cast<std::size_t>(r) + 1, -1);
   }
@@ -128,7 +104,7 @@ void PhaseProfiler::on_charge(mpsim::Rank r, mpsim::ChargeKind kind,
   const std::ptrdiff_t li = last_slice_[static_cast<std::size_t>(r)];
   if (li >= 0) {
     Slice& last = slices_[static_cast<std::size_t>(li)];
-    if (last.phase == p && last.level == s->level && last.kind == kind &&
+    if (last.phase == p && last.level == s_.level && last.kind == kind &&
         last.start + last.dur == start) {
       last.dur += dt;
       return;
@@ -141,52 +117,7 @@ void PhaseProfiler::on_charge(mpsim::Rank r, mpsim::ChargeKind kind,
   }
   last_slice_[static_cast<std::size_t>(r)] =
       static_cast<std::ptrdiff_t>(slices_.size());
-  slices_.push_back(Slice{r, start, dt, p, s->level, kind});
-}
-
-void PhaseProfiler::merge() {
-  shards_.for_each_mut([&](int i, ShardState& s) {
-    merged_samples_.push_back(ShardSample{i, s.samples});
-    for (const Cell& c : s.cells) {
-      if (c.key == ~0ull) continue;
-      const auto p = static_cast<PhaseId>(c.key >> 40);
-      const int level = static_cast<int>((c.key >> 20) & 0xFFFFFu) - 1;
-      const auto r = static_cast<mpsim::Rank>(c.key & 0xFFFFFu);
-      cell(merged_, p, level, r) += c.totals;
-    }
-    merged_.num_ranks = std::max(merged_.num_ranks, s.num_ranks);
-    merged_.max_level = std::max(merged_.max_level, s.max_level);
-    merged_.samples += s.samples;
-    // Reset the shard but keep its owner's scope state: a merge at a
-    // quiesce point must not re-attribute later charges.
-    std::vector<PhaseId> stack = std::move(s.stack);
-    const int level = s.level;
-    s = ShardState{};
-    s.stack = std::move(stack);
-    s.level = level;
-  });
-}
-
-std::vector<ShardSample> PhaseProfiler::shard_samples() const {
-  std::vector<ShardSample> out;
-  shards_.for_each([&](int i, const ShardState& s) {
-    out.push_back(ShardSample{i, s.samples});
-  });
-  return out;
-}
-
-int PhaseProfiler::num_ranks() const {
-  int n = merged_.num_ranks;
-  shards_.for_each(
-      [&](int, const ShardState& s) { n = std::max(n, s.num_ranks); });
-  return n;
-}
-
-int PhaseProfiler::max_level() const {
-  int l = merged_.max_level;
-  shards_.for_each(
-      [&](int, const ShardState& s) { l = std::max(l, s.max_level); });
-  return l;
+  slices_.push_back(Slice{r, start, dt, p, s_.level, kind});
 }
 
 std::vector<PhaseProfiler::Row> PhaseProfiler::rows() const {
@@ -199,24 +130,11 @@ std::vector<PhaseProfiler::Row> PhaseProfiler::rows() const {
     row.totals = c.totals;
     out.push_back(row);
   });
-  // Shards may hold rows for the same key; fold duplicates after the
-  // deterministic (phase, level, rank) sort — stable, so shard order is
-  // preserved within a key.
-  std::stable_sort(out.begin(), out.end(), [](const Row& a, const Row& b) {
+  std::sort(out.begin(), out.end(), [](const Row& a, const Row& b) {
     if (a.phase != b.phase) return a.phase < b.phase;
     if (a.level != b.level) return a.level < b.level;
     return a.rank < b.rank;
   });
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (w > 0 && out[w - 1].phase == out[i].phase &&
-        out[w - 1].level == out[i].level && out[w - 1].rank == out[i].rank) {
-      out[w - 1].totals += out[i].totals;
-    } else {
-      out[w++] = out[i];
-    }
-  }
-  out.resize(w);
   return out;
 }
 

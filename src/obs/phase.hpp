@@ -11,15 +11,6 @@
 // change simulated time (tests enforce bit-identical max_clock with the
 // profiler on and off). When no profiler is attached the cost is one
 // branch per charge inside Machine.
-//
-// Thread-safety (DESIGN.md §14): shard-per-thread. Scope state (the
-// phase stack and level) and the accumulation cells live in the calling
-// thread's shard, so concurrent charges from a real-thread backend never
-// race; interned names and the coalesced timeline are the only shared
-// state and sit behind instrumented locks. Folding accessors (rows,
-// totals, imbalance) iterate shards in shard-id order and may only run
-// after the writing threads have quiesced; a single-thread run uses one
-// shard and its exports are byte-identical to the pre-sharding output.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +19,6 @@
 #include <vector>
 
 #include "mpsim/observer.hpp"
-#include "obs/threads.hpp"
 
 namespace pdt::mpsim {
 class EventRecorder;
@@ -93,23 +83,25 @@ class PhaseProfiler final : public mpsim::ChargeObserver {
  public:
   explicit PhaseProfiler(ProfilerConfig cfg = {});
 
-  /// Open the named phase (nested inside the currently open one, on the
-  /// calling thread). Phase names are interned: reusing a name
-  /// accumulates into the same row. Prefer the RAII PhaseScope below.
+  /// Open the named phase (nested inside the currently open one). Phase
+  /// names are interned: reusing a name accumulates into the same row.
+  /// Prefer the RAII PhaseScope below.
   void open(std::string_view name);
   void close();
-  /// Set the tree level attributed to subsequent charges (of the calling
-  /// thread); returns the previous level so LevelScope can restore it.
+  /// Set the tree level attributed to subsequent charges; returns the
+  /// previous level so LevelScope can restore it.
   int set_level(int level);
 
   /// Forward every open/close to an event recorder, so the execution log
   /// carries the same phase attribution as the profiler. Not owned.
   void set_event_sink(mpsim::EventRecorder* sink) { sink_ = sink; }
 
-  /// Level of the calling thread (kNoLevel if it never set one).
-  [[nodiscard]] int current_level() const;
-  /// Innermost phase open on the calling thread (0 = unattributed).
-  [[nodiscard]] PhaseId current_phase() const;
+  /// Current level (kNoLevel if none was ever set).
+  [[nodiscard]] int current_level() const { return s_.level; }
+  /// Innermost open phase (0 = unattributed).
+  [[nodiscard]] PhaseId current_phase() const {
+    return s_.stack.empty() ? 0 : s_.stack.back();
+  }
 
   // mpsim::ChargeObserver
   void on_charge(mpsim::Rank r, mpsim::ChargeKind kind, mpsim::Time start,
@@ -117,7 +109,7 @@ class PhaseProfiler final : public mpsim::ChargeObserver {
                  double words_received) override;
 
   /// Interned phase names; index == PhaseId. phase_names()[0] is
-  /// "(unattributed)". Quiesced-readers only.
+  /// "(unattributed)".
   [[nodiscard]] const std::vector<std::string>& phase_names() const {
     return names_;
   }
@@ -126,9 +118,9 @@ class PhaseProfiler final : public mpsim::ChargeObserver {
   }
 
   /// Number of ranks seen so far (== 1 + max rank charged).
-  [[nodiscard]] int num_ranks() const;
+  [[nodiscard]] int num_ranks() const { return s_.num_ranks; }
   /// Highest level seen (kNoLevel if none).
-  [[nodiscard]] int max_level() const;
+  [[nodiscard]] int max_level() const { return s_.max_level; }
 
   /// A (phase, level, rank) row of the breakdown.
   struct Row {
@@ -157,36 +149,18 @@ class PhaseProfiler final : public mpsim::ChargeObserver {
   [[nodiscard]] bool truncated() const { return truncated_; }
   [[nodiscard]] const ProfilerConfig& config() const { return cfg_; }
 
-  /// Fold every live shard's cells into the merged store, in shard-id
-  /// order (the determinism rule), recording per-shard provenance and
-  /// resetting the folded shards. Call only after writers quiesced; a
-  /// single-thread run never needs it (accessors fold on the fly).
-  void merge();
-
-  /// Live per-shard charge counts, in shard-id order.
-  [[nodiscard]] std::vector<ShardSample> shard_samples() const;
-  /// Provenance of every merge() so far: the shards folded, in fold
-  /// order, with the charge counts they contributed.
-  [[nodiscard]] const std::vector<ShardSample>& merged_samples() const {
-    return merged_samples_;
-  }
-  /// Charges dropped because the thread registry ran out of shard ids.
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
  private:
   [[nodiscard]] PhaseId intern(std::string_view name);
 
   // Accumulation cells keyed by (phase, level, rank), stored sparsely:
-  // cells[key] with key packed below, one open-addressed table per
-  // shard. A one-entry cache covers the "same cell charged repeatedly"
-  // pattern on the hot path.
+  // cells[key] with key packed below, in one open-addressed table. A
+  // one-entry cache covers the "same cell charged repeatedly" pattern on
+  // the hot path.
   struct Cell {
     std::uint64_t key = ~0ull;
     PhaseTotals totals;
   };
-  struct ShardState {
+  struct State {
     std::vector<PhaseId> stack;
     int level = kNoLevel;
     int num_ranks = 0;
@@ -194,7 +168,6 @@ class PhaseProfiler final : public mpsim::ChargeObserver {
     std::vector<Cell> cells = std::vector<Cell>(64);
     std::size_t cells_used = 0;
     std::size_t last_hit = static_cast<std::size_t>(-1);
-    std::uint64_t samples = 0;
   };
   static std::uint64_t pack(PhaseId p, int level, mpsim::Rank r) {
     // level is >= -1; bias by 1 so it packs as unsigned.
@@ -203,37 +176,20 @@ class PhaseProfiler final : public mpsim::ChargeObserver {
             << 20) |
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(r));
   }
-  static PhaseTotals& cell(ShardState& s, PhaseId p, int level, mpsim::Rank r);
-  static void grow_cells(ShardState& s);
-  /// Visit every cell — merged store first, then live shards in shard-id
-  /// order. With one shard and no merge this is exactly the pre-sharding
-  /// iteration, so folded sums add in the identical order.
+  PhaseTotals& cell(PhaseId p, int level, mpsim::Rank r);
+  void grow_cells();
   template <typename Fn>
   void for_each_cell(Fn&& fn) const {
-    for (const Cell& c : merged_.cells) {
+    for (const Cell& c : s_.cells) {
       if (c.key != ~0ull) fn(c);
     }
-    shards_.for_each([&](int, const ShardState& s) {
-      for (const Cell& c : s.cells) {
-        if (c.key != ~0ull) fn(c);
-      }
-    });
   }
 
   ProfilerConfig cfg_;
   mpsim::EventRecorder* sink_ = nullptr;
   std::vector<std::string> names_;
-  mutable InstrumentedMutex names_mu_{"obs.phase.names"};
+  State s_;
 
-  ShardSlots<ShardState> shards_{"obs.phase.shards"};
-  ShardState merged_;
-  std::vector<ShardSample> merged_samples_;
-  std::atomic<std::uint64_t> dropped_{0};
-
-  // The coalesced timeline needs a total order of charges, so it stays
-  // shared and lock-protected (charges only take the lock when the
-  // timeline is enabled).
-  mutable InstrumentedMutex slices_mu_{"obs.phase.timeline"};
   std::vector<Slice> slices_;
   /// Per-rank index of the rank's last slice (for coalescing), or -1.
   std::vector<std::ptrdiff_t> last_slice_;

@@ -69,11 +69,18 @@ TEST_P(ObsParity, AttachingObservabilityNeverChangesTheRun) {
 
   const ParResult off = build(f, ds, opt);
 
+  // The full bundle the durable-resume host benchmark attaches.
   obs::Observability o(obs::ProfilerConfig{.timeline = true});
+  o.enable_event_log();
+  o.enable_host_profiler();
+  o.enable_split_audit();
   opt.obs = &o;
   const ParResult on = build(f, ds, opt);
 
   expect_bit_identical(off, on, to_string(f));
+  ASSERT_NE(o.event_log(), nullptr);
+  EXPECT_EQ(o.event_log()->max_clock(), on.parallel_time)
+      << "event-log shadow clocks must end exactly at max_clock";
 
   // And the instrumented run did actually observe the machine.
   EXPECT_GT(o.profiler().phase_totals(0, obs::kNoLevel, /*any_level=*/true)
@@ -102,8 +109,15 @@ TEST_P(ObsParity, AttachingObservabilityNeverChangesTheRun) {
   EXPECT_GT(o.mem_ledger().events(), 0u);
   ASSERT_EQ(o.mem_ledger().num_ranks(), procs);
   for (int r = 0; r < procs; ++r) {
-    EXPECT_EQ(o.mem_ledger().peak_bytes(r), on.mem[static_cast<std::size_t>(r)]
-                                                .peak_total)
+    const obs::MemLedger& l = o.mem_ledger();
+    EXPECT_EQ(l.peak_bytes(r), on.mem[static_cast<std::size_t>(r)].peak_total)
+        << "rank " << r;
+    // No release without a matching charge: the account balances exactly
+    // and never goes negative.
+    EXPECT_EQ(l.charged_bytes(r) - l.released_bytes(r), l.live_bytes(r))
+        << "rank " << r;
+    EXPECT_GE(l.live_bytes(r), 0) << "rank " << r;
+    EXPECT_EQ(l.live_bytes(r), on.mem[static_cast<std::size_t>(r)].live_total)
         << "rank " << r;
   }
 }
@@ -113,7 +127,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Formulation::Sync,
                                          Formulation::Partitioned,
                                          Formulation::Hybrid),
-                       ::testing::Values(4, 8)),
+                       ::testing::Values(3, 4, 5, 8)),
     [](const auto& info) {
       return std::string(to_string(std::get<0>(info.param))) + "_P" +
              std::to_string(std::get<1>(info.param));

@@ -1,30 +1,20 @@
-// Multithreaded stress harness for the sharded observability runtime.
-//
-// Worker pools hammer every collector concurrently — phase scopes,
-// charges, metrics, memory events, host samples, and event-recorder
-// rings — then the primary merges and the tests assert that nothing was
-// lost, double-counted, or reordered. Built as its own ctest suite
-// (label "stress_concurrency") so the TSan CI job can run exactly these
-// binaries under -fsanitize=thread; the assertions here are the
-// functional half of the contract, TSan is the data-race half.
+// Concurrent-writer tests for obs::AtomicFile, the one piece of the
+// observability layer that several threads may drive at once: writers in
+// one process share its per-process temp-file counter. Built as its own
+// ctest suite (label "stress_concurrency") so the TSan CI job can run it
+// under -fsanitize=thread; the assertions here are the functional half of
+// the contract, TSan is the data-race half.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "mpsim/cost_model.hpp"
-#include "mpsim/event_log.hpp"
 #include "obs/atomic_file.hpp"
-#include "obs/export.hpp"
-#include "obs/observability.hpp"
-#include "obs/threads.hpp"
 
 namespace pdt::obs {
 namespace {
@@ -33,165 +23,6 @@ std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-}
-
-TEST(StressConcurrency, AllCollectorsSurviveConcurrentHammering) {
-  constexpr int kThreads = 8;
-  constexpr int kIters = 2000;
-
-  Observability o;
-  HostProfiler& host = o.enable_host_profiler();
-  mpsim::EventRecorder& rec = o.enable_event_log();
-  rec.bind(kThreads, mpsim::CostModel{});
-
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> pool;
-  for (int w = 0; w < kThreads; ++w) {
-    pool.emplace_back([&, w] {
-      // Register (and hold) this thread's shard before any worker starts,
-      // so the pool provably holds kThreads distinct leases for the whole
-      // run — the deterministic anchor/shard counts below rely on it.
-      ThreadRegistry::current_shard();
-      ready.fetch_add(1);
-      while (!go.load()) std::this_thread::yield();
-      const std::string phase = "worker-" + std::to_string(w);
-      for (int i = 0; i < kIters; ++i) {
-        PhaseScope ph(&o.profiler(), phase);
-        LevelScope lv(&o.profiler(), w % 4);
-        o.profiler().on_charge(w, mpsim::ChargeKind::Compute, 0.0, 1.0, 0.0,
-                               0.0);
-        host.on_charge(w, mpsim::ChargeKind::Compute);
-        o.metrics().counter("stress.ops").add(1.0);
-        o.metrics().histogram("stress.sizes").observe(static_cast<double>(i));
-        o.mem_ledger().on_alloc(w, mpsim::MemTag::Records, 64);
-        o.mem_ledger().on_free(w, mpsim::MemTag::Records, 64);
-        rec.record_charge(w, mpsim::ChargeKind::Compute, 1.0, 0.0, 0.0, 0.0,
-                          0, w % 4);
-      }
-    });
-  }
-  while (ready.load() < kThreads) std::this_thread::yield();
-  go.store(true);
-  for (std::thread& t : pool) t.join();
-
-  constexpr auto kTotal =
-      static_cast<std::uint64_t>(kThreads) * static_cast<std::uint64_t>(kIters);
-
-  // Nothing dropped: 2000 events per worker fits every ring.
-  EXPECT_EQ(o.profiler().dropped(), 0u);
-  EXPECT_EQ(o.mem_ledger().dropped(), 0u);
-  EXPECT_EQ(host.dropped(), 0u);
-  EXPECT_EQ(rec.ring_dropped(), 0u);
-
-  // Every charge accounted, exactly once.
-  std::uint64_t charges = 0;
-  for (const PhaseProfiler::Row& r : o.profiler().rows()) {
-    charges += r.totals.charges;
-  }
-  EXPECT_EQ(charges, kTotal);
-  EXPECT_EQ(o.metrics().counters().at("stress.ops").value(),
-            static_cast<double>(kTotal));
-  EXPECT_EQ(o.metrics().histograms().at("stress.sizes").count(), kTotal);
-  EXPECT_EQ(o.mem_ledger().events(), 2 * kTotal);
-  for (int w = 0; w < kThreads; ++w) {
-    EXPECT_EQ(o.mem_ledger().live_bytes(w), 0) << "rank " << w;
-  }
-  // Each worker's first host sample anchors its interval chain.
-  EXPECT_EQ(host.samples(),
-            static_cast<std::uint64_t>(kThreads) * (kIters - 1));
-
-  // merge_shards drains every ring and restores global order by stamp.
-  const std::size_t merged = rec.merge_shards();
-  EXPECT_EQ(merged, kTotal);
-  ASSERT_EQ(rec.events().size(), kTotal);
-  for (std::size_t i = 1; i < rec.events().size(); ++i) {
-    ASSERT_LT(rec.events()[i - 1].seq, rec.events()[i].seq)
-        << "merged events must be in causal (stamp) order";
-  }
-  // Shadow-clock arithmetic applied per merged event: each worker
-  // charged its own rank kIters times with dt=1.
-  for (int w = 0; w < kThreads; ++w) {
-    EXPECT_EQ(rec.clocks()[static_cast<std::size_t>(w)],
-              static_cast<double>(kIters))
-        << "rank " << w;
-  }
-  const std::vector<mpsim::EventRecorder::WorkerStats> ws = rec.worker_stats();
-  ASSERT_EQ(ws.size(), static_cast<std::size_t>(kThreads));
-  std::uint64_t recorded = 0;
-  for (const mpsim::EventRecorder::WorkerStats& s : ws) recorded += s.recorded;
-  EXPECT_EQ(recorded, kTotal);
-
-  // A collector merge after quiesce leaves the folded views unchanged.
-  const std::vector<PhaseProfiler::Row> rows_before = o.profiler().rows();
-  o.profiler().merge();
-  host.merge();
-  o.mem_ledger().merge();
-  o.metrics().merge();
-  EXPECT_EQ(o.profiler().rows().size(), rows_before.size());
-  EXPECT_EQ(o.metrics().counters().at("stress.ops").value(),
-            static_cast<double>(kTotal));
-
-  // pdt-threads-v1 renders, and renders deterministically: two
-  // back-to-back renders differ at most in the monotonic lock counters.
-  std::ostringstream r1;
-  std::ostringstream r2;
-  write_threads_report(r1, o);
-  write_threads_report(r2, o);
-  const auto structural = [](std::string s) {
-    return s.substr(0, s.find("\"locks\":["));
-  };
-  EXPECT_EQ(structural(r1.str()), structural(r2.str()));
-  EXPECT_NE(r1.str().find("\"name\":\"events\""), std::string::npos);
-  EXPECT_NE(r1.str().find("\"name\":\"host\""), std::string::npos);
-}
-
-TEST(StressConcurrency, RegistrationChurnKeepsShardIdsDense) {
-  const ThreadRegistry::Stats base = ThreadRegistry::instance().stats();
-  constexpr int kWaves = 5;
-  constexpr int kPerWave = 8;
-  int max_id = -1;
-  for (int wave = 0; wave < kWaves; ++wave) {
-    std::vector<std::thread> pool;
-    std::vector<int> ids(kPerWave, -1);
-    for (int i = 0; i < kPerWave; ++i) {
-      pool.emplace_back([&, i] {
-        ids[static_cast<std::size_t>(i)] = ThreadRegistry::current_shard();
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    for (const int id : ids) {
-      ASSERT_GE(id, 0);
-      max_id = std::max(max_id, id);
-    }
-  }
-  // Lowest-free-id reuse: 40 short-lived threads across 5 waves must not
-  // consume 40 ids — each wave reuses the previous wave's.
-  EXPECT_LT(max_id, base.active + kPerWave)
-      << "released ids must be reused lowest-first";
-  const ThreadRegistry::Stats after = ThreadRegistry::instance().stats();
-  EXPECT_EQ(after.active, base.active);
-  EXPECT_EQ(after.registered, base.registered + kWaves * kPerWave);
-}
-
-TEST(StressConcurrency, EventRecorderFullRingDropsAndCountsInsteadOfBlocking) {
-  mpsim::EventRecorder rec;
-  rec.bind(1, mpsim::CostModel{});
-  constexpr std::uint64_t kExtra = 100;
-  std::thread t([&] {
-    const std::uint64_t n = mpsim::EventRecorder::kRingCapacity + kExtra;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      rec.record_charge(0, mpsim::ChargeKind::Compute, 1.0, 0.0, 0.0, 0.0, 0,
-                        -1);
-    }
-  });
-  t.join();
-  EXPECT_EQ(rec.ring_dropped(), kExtra)
-      << "overflow must drop and count, never block or grow";
-  const std::size_t merged = rec.merge_shards();
-  EXPECT_EQ(merged, mpsim::EventRecorder::kRingCapacity);
-  EXPECT_EQ(rec.events().size(), mpsim::EventRecorder::kRingCapacity);
-  EXPECT_EQ(rec.merged_events(), mpsim::EventRecorder::kRingCapacity);
 }
 
 TEST(StressConcurrency, AtomicFileConcurrentWritersOnDistinctPaths) {

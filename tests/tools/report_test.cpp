@@ -294,63 +294,30 @@ TEST(Report, StandaloneHostSchemaRenders) {
   EXPECT_NE(out.find("requested but unavailable"), std::string::npos);
 }
 
-TEST(Report, StandaloneThreadsSchemaRendersTablesDeterministically) {
-  constexpr std::string_view kThreadsDoc = R"({
-    "schema": "pdt-threads-v1", "hardware_concurrency": 8, "max_shards": 256,
-    "registry": {"registered": 9, "overflow": 0, "active": 1,
-                 "peak_active": 9},
-    "collectors": [
-      {"name": "phase", "samples": 16000,
-       "shards": [{"shard": 0, "samples": 4000}],
-       "merge_order": [{"shard": 0, "samples": 2000},
-                       {"shard": 1, "samples": 10000}],
-       "dropped": 0},
-      {"name": "mem", "samples": 32000, "shards": [], "merge_order": [],
-       "dropped": 3}
-    ],
-    "drops": {"phase": 0, "mem": 3, "host_clamped": 1},
-    "locks": [
-      {"name": "obs.phase.names", "acquisitions": 12, "contended": 2,
-       "wait_ns": 1500000.0}
-    ]
-  })";
-  std::ostringstream os1, os2;
-  EXPECT_TRUE(render_report({make_input("t.json", kThreadsDoc)}, os1));
-  EXPECT_TRUE(render_report({make_input("t.json", kThreadsDoc)}, os2));
-  EXPECT_EQ(os1.str(), os2.str()) << "byte-identical re-render";
-  const std::string out = os1.str();
-  EXPECT_NE(out.find("# Concurrency report: `t.json`"), std::string::npos)
+TEST(Report, RetiredThreadsSchemaIsUnrecognized) {
+  // Concurrency reports written by 0.10 harnesses are no longer a known
+  // schema: they render the unrecognized-report block and fail (the CLI
+  // maps that to exit 1, the unrecognized-schema code).
+  const std::string retired = "pdt-threads-v1";
+  std::ostringstream os;
+  EXPECT_FALSE(render_report(
+      {make_input("t.json", R"({"schema": ")" + retired +
+                                R"(", "hardware_concurrency": 8})")},
+      os));
+  const std::string out = os.str();
+  EXPECT_NE(out.find("# Unrecognized report: `t.json`"), std::string::npos)
       << out;
-  EXPECT_NE(out.find("- hardware concurrency: 8 (max shards 256)"),
+  EXPECT_NE(out.find("- schema: `" + retired + "` is not one of"),
             std::string::npos)
       << out;
-  EXPECT_NE(out.find("- registered threads: 9 (peak active 9, active 1, "
-                     "overflow 0)"),
-            std::string::npos)
-      << out;
-  // Zero drop counters are suppressed; non-zero ones keep document order.
-  EXPECT_NE(out.find("- drops: mem=3, host_clamped=1"), std::string::npos)
-      << out;
-  EXPECT_EQ(out.find("phase=0"), std::string::npos) << out;
-  // Collector table: live shards and merge order as shard:samples pairs,
-  // empty lists dashed.
-  EXPECT_NE(out.find("| phase | 16000 | 0:4000 | 0:2000 1:10000 | 0 |"),
-            std::string::npos)
-      << out;
-  EXPECT_NE(out.find("| mem | 32000 | - | - | 3 |"), std::string::npos) << out;
-  EXPECT_NE(out.find("| `obs.phase.names` | 12 | 2 | 1.500 |"),
-            std::string::npos)
-      << out;
-
-  // Section filtering: without "threads", only the header renders.
-  RenderOptions none;
-  none.sections = {"speedup"};
-  std::ostringstream os3;
-  EXPECT_TRUE(render_report({make_input("t.json", kThreadsDoc)}, os3, none));
-  EXPECT_EQ(os3.str(), "# Concurrency report: `t.json`\n\n");
+  EXPECT_EQ(out.find(retired + " /"), std::string::npos)
+      << "the known-schema list must not name it: " << out;
+  for (const char* section : kReportSections) {
+    EXPECT_STRNE(section, "threads");
+  }
 }
 
-TEST(Report, EnvelopeThreadsSectionRendersAndIsGated) {
+TEST(Report, EnvelopeThreadsMemberFromOlderRunsIsIgnored) {
   constexpr std::string_view kEnvelope = R"({
     "schema": "pdt-bench-v1", "harness": "stress",
     "sections": [
@@ -367,20 +334,8 @@ TEST(Report, EnvelopeThreadsSectionRendersAndIsGated) {
   std::ostringstream os;
   EXPECT_TRUE(render_report({make_input("e.json", kEnvelope)}, os));
   const std::string out = os.str();
-  EXPECT_NE(out.find("### Concurrency (pdt-threads-v1)"), std::string::npos)
-      << out;
-  EXPECT_NE(out.find("- hardware concurrency: 4 (max shards 256)"),
-            std::string::npos)
-      << out;
-  EXPECT_NE(out.find("- drops: none"), std::string::npos) << out;
-
-  RenderOptions no_threads;
-  no_threads.sections = {"metrics"};
-  std::ostringstream os2;
-  EXPECT_TRUE(render_report({make_input("e.json", kEnvelope)}, os2,
-                            no_threads));
-  EXPECT_EQ(os2.str().find("Concurrency (pdt-threads-v1)"), std::string::npos)
-      << os2.str();
+  EXPECT_EQ(out.find("Concurrency"), std::string::npos) << out;
+  EXPECT_EQ(out.find("hardware concurrency"), std::string::npos) << out;
 }
 
 }  // namespace

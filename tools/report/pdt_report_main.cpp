@@ -1,8 +1,8 @@
 // pdt-report — render pdtree JSON reports as markdown.
 //
 // Accepts pdt-bench-v1 envelopes (what the bench binaries write) and bare
-// pdt-metrics-v1 / pdt-comm-v1 / pdt-mem-v1 / pdt-host-v1 / pdt-threads-v1
-// / pdt-replay-v1 / pdt-trend-v1 objects.
+// pdt-metrics-v1 / pdt-comm-v1 / pdt-mem-v1 / pdt-host-v1 / pdt-replay-v1
+// / pdt-trend-v1 objects.
 // Output is deterministic: the same inputs always produce byte-identical
 // markdown. Exit codes follow the suite convention in common/cli.hpp.
 #include <cstdio>
@@ -22,8 +22,8 @@ constexpr pdt::tools::CliSpec kSpec = {
     "usage: pdt-report [-o out.md] [--section <name>]... <report.json>...\n"
     "\n"
     "Render pdt-bench-v1 / pdt-metrics-v1 / pdt-comm-v1 / pdt-mem-v1 /\n"
-    "pdt-host-v1 / pdt-threads-v1 / pdt-replay-v1 / pdt-trend-v1 JSON\n"
-    "reports as deterministic markdown.\n"
+    "pdt-host-v1 / pdt-replay-v1 / pdt-trend-v1 JSON reports as\n"
+    "deterministic markdown.\n"
     "\n"
     "  -o out.md        write to out.md instead of stdout (atomic:\n"
     "                   temp file + rename)\n"

@@ -451,73 +451,6 @@ void render_host(const JsonValue& h, std::ostream& os) {
   os << "\n\n";
 }
 
-// ------------------------------------------------------------- threads --
-
-void render_threads(const JsonValue& t, std::ostream& os) {
-  os << "- hardware concurrency: " << t.get("hardware_concurrency").as_int()
-     << " (max shards " << t.get("max_shards").as_int() << ")\n";
-  const JsonValue& reg = t.get("registry");
-  if (!reg.is_null()) {
-    os << "- registered threads: " << reg.get("registered").as_int()
-       << " (peak active " << reg.get("peak_active").as_int() << ", active "
-       << reg.get("active").as_int() << ", overflow "
-       << reg.get("overflow").as_int() << ")\n";
-  }
-  const JsonValue& drops = t.get("drops");
-  if (!drops.is_null()) {
-    // Emit non-zero drop counters only: a healthy report reads as one
-    // clean line instead of a zero parade.
-    std::string dropped;
-    for (const auto& [key, v] : drops.object()) {
-      if (v.as_int() == 0) continue;
-      dropped += (dropped.empty() ? "" : ", ") + key + "=" +
-                 std::to_string(v.as_int());
-    }
-    os << "- drops: " << (dropped.empty() ? "none" : dropped) << "\n";
-  }
-  os << "\n";
-
-  const JsonValue& collectors = t.get("collectors");
-  if (collectors.size() > 0) {
-    os << "#### Collector shards\n\n";
-    os << "| collector | samples | live shards | merge order | dropped |\n";
-    os << "|---|---:|---|---|---:|\n";
-    for (const JsonValue& c : collectors.array()) {
-      std::string live;
-      for (const JsonValue& s : c.get("shards").array()) {
-        live += (live.empty() ? "" : " ") +
-                std::to_string(s.get("shard").as_int()) + ":" +
-                std::to_string(s.get("samples").as_int());
-      }
-      std::string merged;
-      for (const JsonValue& s : c.get("merge_order").array()) {
-        merged += (merged.empty() ? "" : " ") +
-                  std::to_string(s.get("shard").as_int()) + ":" +
-                  std::to_string(s.get("samples").as_int());
-      }
-      os << "| " << c.get("name").as_string() << " | "
-         << c.get("samples").as_int() << " | " << (live.empty() ? "-" : live)
-         << " | " << (merged.empty() ? "-" : merged) << " | "
-         << c.get("dropped").as_int() << " |\n";
-    }
-    os << "\n";
-  }
-
-  const JsonValue& locks = t.get("locks");
-  if (locks.size() > 0) {
-    os << "#### Lock contention\n\n";
-    os << "| lock | acquisitions | contended | wait ms |\n";
-    os << "|---|---:|---:|---:|\n";
-    for (const JsonValue& l : locks.array()) {
-      os << "| `" << l.get("name").as_string() << "` | "
-         << l.get("acquisitions").as_int() << " | "
-         << l.get("contended").as_int() << " | "
-         << fmt_ms_from_ns(l.get("wait_ns").as_double()) << " |\n";
-    }
-    os << "\n";
-  }
-}
-
 // The host-time speedup table: for every formulation measured at two or
 // more processor counts, how the *wall* time of the simulated runs
 // scales next to the virtual speedup the simulator predicts. On one
@@ -987,11 +920,6 @@ void render_bench(const ReportInput& in, std::ostream& os,
       os << "### Host wall-clock (pdt-host-v1)\n\n";
       render_host(host, os);
     }
-    const JsonValue& threads = sec.get("threads");
-    if (!threads.is_null() && opt.wants("threads")) {
-      os << "### Concurrency (pdt-threads-v1)\n\n";
-      render_threads(threads, os);
-    }
   }
 }
 
@@ -1158,9 +1086,6 @@ bool render_report(const std::vector<ReportInput>& inputs, std::ostream& os,
     } else if (schema == "pdt-host-v1") {
       os << "# Host report: `" << in.name << "`\n\n";
       if (opt.wants("host")) render_host(in.root, os);
-    } else if (schema == "pdt-threads-v1") {
-      os << "# Concurrency report: `" << in.name << "`\n\n";
-      if (opt.wants("threads")) render_threads(in.root, os);
     } else if (schema == "pdt-replay-v1") {
       if (opt.wants("replay")) {
         render_replay(in, os);
@@ -1177,8 +1102,7 @@ bool render_report(const std::vector<ReportInput>& inputs, std::ostream& os,
       os << "# Unrecognized report: `" << in.name << "`\n\n";
       os << "- schema: `" << (schema.empty() ? "(none)" : schema)
          << "` is not one of pdt-bench-v1 / pdt-metrics-v1 / pdt-comm-v1 / "
-            "pdt-mem-v1 / pdt-host-v1 / pdt-threads-v1 / pdt-replay-v1 / "
-            "pdt-trend-v1\n\n";
+            "pdt-mem-v1 / pdt-host-v1 / pdt-replay-v1 / pdt-trend-v1\n\n";
       ok = false;
     }
   }

@@ -32,8 +32,8 @@ struct ReportInput {
 /// The selectable section names, in render order (what --list-sections
 /// prints and --section validates against).
 inline constexpr const char* kReportSections[] = {
-    "speedup", "metrics", "comm", "memory", "host", "threads", "fault",
-    "model", "replay", "trend",
+    "speedup", "metrics", "comm", "memory", "host", "fault", "model",
+    "replay", "trend",
 };
 
 struct RenderOptions {

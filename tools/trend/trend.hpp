@@ -99,22 +99,6 @@ struct TrendFtTuple {
   bool tree_identical = true;
 };
 
-/// One concurrency tuple from a pdt-threads-v1 section: the thread
-/// census and drop/contention totals one instrumented run recorded.
-/// Carried along (not gated) so a perf move in the host series can be
-/// cross-checked against "did the run start dropping samples or
-/// fighting over locks?".
-struct TrendThreadsTuple {
-  std::string harness;
-  std::string tag;
-  std::string formulation;
-  std::int64_t procs = 0;
-  std::int64_t peak_active = 0;  ///< peak concurrently-registered threads
-  std::int64_t dropped = 0;      ///< samples/events lost across collectors
-  std::int64_t contended = 0;    ///< contended lock acquisitions
-  std::int64_t wait_ns = 0;      ///< total nanoseconds spent waiting
-};
-
 /// One wait-for blame edge carried along from a pdt-replay-v1 report.
 struct TrendBlameEdge {
   std::int64_t idler = 0;
@@ -136,7 +120,6 @@ struct RunRecord {
   std::vector<TrendModelTuple> model;
   std::vector<TrendFtTuple> ft;
   std::vector<TrendBlameEdge> blame;
-  std::vector<TrendThreadsTuple> threads;
 };
 
 // ------------------------------------------------------------ registry --
