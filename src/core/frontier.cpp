@@ -81,14 +81,7 @@ ParContext::ParContext(const data::Dataset& ds, const ParOptions& opt,
       machine_(&machine),
       mapper_(ds, opt.grow.cont_bins),
       layout_(ds.schema(), opt.grow.cont_bins),
-      tree_(dtree::class_counts_of_rows(
-          ds, [&] {
-            std::vector<data::RowId> rows(ds.num_rows());
-            for (std::size_t i = 0; i < rows.size(); ++i) {
-              rows[i] = static_cast<data::RowId>(i);
-            }
-            return rows;
-          }())) {
+      tree_(dtree::class_counts(ds)) {
   double words = 1.0;  // label
   for (int a = 0; a < ds.num_attributes(); ++a) {
     words += ds.schema().attr(a).is_continuous() ? 2.0 : 1.0;
@@ -168,9 +161,8 @@ void ParContext::publish_summary_gauges() {
 NodeWork ParContext::initial_root(const mpsim::Group& g) {
   NodeWork root;
   root.node_id = tree_.root();
-  const data::RowPartition part =
+  root.local_rows =
       data::partition_random(ds_->num_rows(), g.size(), opt_->seed);
-  root.local_rows.assign(part.begin(), part.end());
   // The initial N/P distribution enters the ranks' local stores.
   for (int m = 0; m < g.size(); ++m) {
     mem_records_alloc(g.rank(m), root.member_records(m));
@@ -415,21 +407,37 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
       for (auto& ch : children) {
         ch.local_rows.resize(static_cast<std::size_t>(p));
       }
+      // Rows route by slot code: a micro-bin threshold t has cut
+      // boundary(t), and v < boundary(t) exactly when bin_of(v) <= t. Only
+      // the parallel-sorting strategy's exact thresholds (midpoints between
+      // values, no slot) compare the raw value.
+      const bool raw_threshold =
+          ctx.options().exact_continuous &&
+          d.test.kind == dtree::SplitTest::Kind::Threshold;
+      const auto child_of = [&](data::RowId row) {
+        return raw_threshold
+                   ? (ctx.dataset().cont(d.test.attr, row) < d.test.threshold
+                          ? 0
+                          : 1)
+                   : d.test.child_of_slot(mapper.slot(d.test.attr, row));
+      };
+      std::vector<std::size_t> sizes(
+          static_cast<std::size_t>(d.test.num_children));
       for (int m = 0; m < p; ++m) {
         auto& rows = work[i]->local_rows[static_cast<std::size_t>(m)];
         if (rows.empty()) continue;
         machine.charge_compute(g.rank(m), static_cast<double>(rows.size()));
+        // A counting pass sizes each child's list exactly.
+        std::fill(sizes.begin(), sizes.end(), 0);
         for (const data::RowId row : rows) {
-          // Threshold tests compare the raw value (equivalent to the slot
-          // comparison when the cut is a micro-bin boundary, and required
-          // for the exact thresholds of the parallel-sorting strategy).
-          const int child =
-              d.test.kind == dtree::SplitTest::Kind::Threshold
-                  ? (ctx.dataset().cont(d.test.attr, row) < d.test.threshold
-                         ? 0
-                         : 1)
-                  : d.test.child_of_slot(mapper.slot(d.test.attr, row));
-          children[static_cast<std::size_t>(child)]
+          ++sizes[static_cast<std::size_t>(child_of(row))];
+        }
+        for (std::size_t k = 0; k < sizes.size(); ++k) {
+          children[k].local_rows[static_cast<std::size_t>(m)].reserve(
+              sizes[k]);
+        }
+        for (const data::RowId row : rows) {
+          children[static_cast<std::size_t>(child_of(row))]
               .local_rows[static_cast<std::size_t>(m)]
               .push_back(row);
         }

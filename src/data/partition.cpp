@@ -39,8 +39,16 @@ RowPartition partition_random(std::size_t num_rows, int nprocs,
     std::swap(perm[i - 1], perm[j]);
   }
   RowPartition part(static_cast<std::size_t>(nprocs));
+  if (nprocs == 1) {
+    part[0] = std::move(perm);
+    return part;
+  }
+  const auto procs = static_cast<std::size_t>(nprocs);
+  for (std::size_t p = 0; p < procs; ++p) {
+    part[p].reserve(num_rows / procs + (p < num_rows % procs ? 1 : 0));
+  }
   for (std::size_t i = 0; i < num_rows; ++i) {
-    part[i % static_cast<std::size_t>(nprocs)].push_back(perm[i]);
+    part[i % procs].push_back(perm[i]);
   }
   return part;
 }

@@ -24,7 +24,7 @@ Tree grow_bfs(const data::Dataset& ds, const GrowOptions& opt,
   const SlotMapper mapper(ds, opt.cont_bins);
   const AttrLayout layout(ds.schema(), opt.cont_bins);
 
-  Tree tree(class_counts_of_rows(ds, all_rows(ds)));
+  Tree tree(class_counts(ds));
   tree.set_split_observer(opt.split_observer);
   struct FrontierNode {
     int id;
@@ -155,7 +155,7 @@ void grow_exact_rec(Tree& tree, int id, const data::Dataset& ds,
 
 Tree grow_dfs_exact(const data::Dataset& ds, const GrowOptions& opt,
                     BuildStats* stats) {
-  Tree tree(class_counts_of_rows(ds, all_rows(ds)));
+  Tree tree(class_counts(ds));
   tree.set_split_observer(opt.split_observer);
   BuildStats local{};
   grow_exact_rec(tree, tree.root(), ds, all_rows(ds), opt, local);

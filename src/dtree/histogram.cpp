@@ -11,13 +11,16 @@ void accumulate(std::span<std::int64_t> h, const AttrLayout& layout,
                 const SlotMapper& mapper, std::span<const data::RowId> rows) {
   assert(h.size() == static_cast<std::size_t>(layout.total()));
   const data::Dataset& ds = mapper.dataset();
-  const int num_attrs = layout.num_attributes();
-  for (const data::RowId row : rows) {
-    const int cls = ds.label(row);
-    for (int a = 0; a < num_attrs; ++a) {
-      const int s = mapper.slot(a, row);
-      ++h[static_cast<std::size_t>(layout.index(a, s, cls))];
-    }
+  const std::int32_t* labels = ds.labels().data();
+  const int c_num = layout.num_classes();
+  // Attribute by attribute, reading each slot straight from its column.
+  for (int a = 0; a < layout.num_attributes(); ++a) {
+    std::int64_t* table = h.data() + layout.offset(a);
+    mapper.with_slot_column(a, [&](const auto* col) {
+      for (const data::RowId row : rows) {
+        ++table[static_cast<std::ptrdiff_t>(col[row]) * c_num + labels[row]];
+      }
+    });
   }
 }
 
@@ -30,6 +33,15 @@ std::vector<std::int64_t> class_counts(std::span<const std::int64_t> h,
       counts[static_cast<std::size_t>(c)] +=
           h[static_cast<std::size_t>(layout.index(0, s, c))];
     }
+  }
+  return counts;
+}
+
+std::vector<std::int64_t> class_counts(const data::Dataset& ds) {
+  std::vector<std::int64_t> counts(
+      static_cast<std::size_t>(ds.schema().num_classes()), 0);
+  for (const std::int32_t label : ds.labels()) {
+    ++counts[static_cast<std::size_t>(label)];
   }
   return counts;
 }

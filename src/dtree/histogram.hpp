@@ -28,6 +28,9 @@ void accumulate(std::span<std::int64_t> h, const AttrLayout& layout,
 [[nodiscard]] std::vector<std::int64_t> class_counts(
     std::span<const std::int64_t> h, const AttrLayout& layout);
 
+/// Class counts of every row of `ds` (the root node's distribution).
+[[nodiscard]] std::vector<std::int64_t> class_counts(const data::Dataset& ds);
+
 /// Class counts computed directly from rows.
 [[nodiscard]] std::vector<std::int64_t> class_counts_of_rows(
     const data::Dataset& ds, std::span<const data::RowId> rows);

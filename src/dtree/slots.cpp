@@ -1,6 +1,9 @@
 #include "dtree/slots.hpp"
 
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "data/discretize.hpp"
 
@@ -23,20 +26,58 @@ AttrLayout::AttrLayout(const data::Schema& schema, int cont_bins)
   total_ = off;
 }
 
+namespace {
+
+/// data::bin_of(v, cuts) for the equal-width cuts of [lo, hi]: an O(1)
+/// guess from the bin width, then corrected against the stored cuts so
+/// that cuts[b-1] <= v < cuts[b] — the upper_bound position itself, also
+/// where rounding puts the guess one bin off or v lies exactly on a cut.
+/// It runs once per cell when the code table is filled; a binary search
+/// there made whole training runs measurably slower. A non-finite value
+/// or range (whose cuts may be NaN, hence unsorted) takes bin_of itself.
+int code_of(double v, const std::vector<double>& cuts, double lo, double hi) {
+  if (!std::isfinite(v) || !std::isfinite(hi - lo)) {
+    return data::bin_of(v, cuts);
+  }
+  const int last = static_cast<int>(cuts.size());
+  int b = last;  // a constant column: every cut equals lo
+  if (hi > lo) {
+    const double g = (v - lo) * (last + 1) / (hi - lo);
+    b = !(g > 0.0) ? 0 : g >= last ? last : static_cast<int>(g);
+  }
+  while (b < last && cuts[static_cast<std::size_t>(b)] <= v) ++b;
+  while (b > 0 && cuts[static_cast<std::size_t>(b - 1)] > v) --b;
+  return b;
+}
+
+}  // namespace
+
 SlotMapper::SlotMapper(const data::Dataset& ds, int cont_bins)
     : ds_(&ds), cont_bins_(cont_bins) {
+  if (cont_bins > kMaxContBins) {
+    throw std::invalid_argument("SlotMapper: cont_bins " +
+                                std::to_string(cont_bins) + " exceeds " +
+                                std::to_string(kMaxContBins));
+  }
   const int n = ds.num_attributes();
   cuts_.resize(static_cast<std::size_t>(n));
   lo_.resize(static_cast<std::size_t>(n), 0.0);
   hi_.resize(static_cast<std::size_t>(n), 0.0);
+  codes_.resize(static_cast<std::size_t>(n));
   for (int a = 0; a < n; ++a) {
     if (!ds.schema().attr(a).is_continuous()) continue;
     assert(cont_bins >= 2);
     const auto [lo, hi] = ds.cont_range(a);
     lo_[static_cast<std::size_t>(a)] = lo;
     hi_[static_cast<std::size_t>(a)] = hi;
-    cuts_[static_cast<std::size_t>(a)] =
+    const auto& cuts = cuts_[static_cast<std::size_t>(a)] =
         data::uniform_boundaries(lo, hi, cont_bins);
+    const std::vector<double>& col = ds.cont_column(a);
+    auto& codes = codes_[static_cast<std::size_t>(a)];
+    codes.resize(col.size());
+    for (std::size_t row = 0; row < col.size(); ++row) {
+      codes[row] = static_cast<std::uint8_t>(code_of(col[row], cuts, lo, hi));
+    }
   }
 }
 

@@ -66,19 +66,39 @@ class AttrLayout {
 /// are `cont_bins` equal-width micro-bins over the attribute's global
 /// [min, max]; boundaries are fixed once per training run so that every
 /// processor maps rows identically.
+///
+/// A row's slot is a pure function of the row, so the mapper computes it
+/// once: the constructor fills one byte-wide code column of N entries per
+/// continuous attribute (equal to data::bin_of against the cuts for every
+/// cell). Categorical attributes read the dataset's own int32 column,
+/// whose values already are slots. The code table is host memory of the
+/// simulator, not part of any simulated rank's record store.
 class SlotMapper {
  public:
+  /// Largest `cont_bins` a byte-wide code can hold.
+  static constexpr int kMaxContBins = 256;
+
   SlotMapper() = default;
+  /// Throws std::invalid_argument when `cont_bins` > kMaxContBins.
   SlotMapper(const data::Dataset& ds, int cont_bins);
 
   [[nodiscard]] int cont_bins() const { return cont_bins_; }
 
-  [[nodiscard]] int slot(int attr, std::size_t row) const {
-    const auto& cuts = cuts_[static_cast<std::size_t>(attr)];
-    if (cuts.empty() && ds_->schema().attr(attr).is_categorical()) {
-      return ds_->cat(attr, row);
+  /// Calls `f(col)` with a pointer to the attribute's slot column, indexed
+  /// by row: the byte-wide code column of a continuous attribute, or the
+  /// dataset's int32 column of a categorical one. `f` must return the same
+  /// type for both pointer types.
+  template <typename F>
+  decltype(auto) with_slot_column(int attr, F&& f) const {
+    if (ds_->schema().attr(attr).is_categorical()) {
+      return f(ds_->cat_column(attr).data());
     }
-    return slot_of_value(attr, ds_->cont(attr, row));
+    return f(codes_[static_cast<std::size_t>(attr)].data());
+  }
+
+  [[nodiscard]] int slot(int attr, std::size_t row) const {
+    return with_slot_column(
+        attr, [row](const auto* col) { return static_cast<int>(col[row]); });
   }
 
   /// Slot of a raw continuous value.
@@ -105,6 +125,7 @@ class SlotMapper {
   int cont_bins_ = 0;
   std::vector<std::vector<double>> cuts_;  // empty for categorical attrs
   std::vector<double> lo_, hi_;            // per-attr global range (cont)
+  std::vector<std::vector<std::uint8_t>> codes_;  // empty for categorical
 };
 
 }  // namespace pdt::dtree

@@ -21,11 +21,10 @@ BestTracker::BestTracker(std::span<const std::int64_t> parent_counts,
   forced_leaf_ = n_ < opt.min_records || nonzero <= 1;
 }
 
-void BestTracker::offer_binary(std::span<const std::int64_t> left,
-                               SplitTest test) {
-  if (forced_leaf_) return;
+std::optional<double> BestTracker::binary_gain(
+    std::span<const std::int64_t> left) {
   const std::int64_t left_n = total(left);
-  if (left_n == 0 || left_n == n_) return;
+  if (left_n == 0 || left_n == n_) return std::nullopt;
   for (int c = 0; c < num_classes_; ++c) {
     scratch_both_[static_cast<std::size_t>(c)] =
         left[static_cast<std::size_t>(c)];
@@ -33,15 +32,24 @@ void BestTracker::offer_binary(std::span<const std::int64_t> left,
         parent_[static_cast<std::size_t>(c)] -
         left[static_cast<std::size_t>(c)];
   }
-  const double g = gain(opt_->criterion, parent_, scratch_both_, num_classes_);
-  note_candidate(test.attr, g);
-  if (g > best_gain_) {
-    best_gain_ = g;
-    best_.gain = g;
-    test.num_children = 2;
-    best_.test = std::move(test);
-    best_.child_counts = scratch_both_;
-  }
+  return gain(opt_->criterion, parent_, scratch_both_, num_classes_);
+}
+
+void BestTracker::adopt_binary(double g, SplitTest test) {
+  best_gain_ = g;
+  best_.gain = g;
+  test.num_children = 2;
+  best_.test = std::move(test);
+  best_.child_counts = scratch_both_;
+}
+
+void BestTracker::offer_binary(std::span<const std::int64_t> left,
+                               SplitTest test) {
+  if (forced_leaf_) return;
+  const std::optional<double> g = binary_gain(left);
+  if (!g) return;
+  note_candidate(test.attr, *g);
+  if (*g > best_gain_) adopt_binary(*g, std::move(test));
 }
 
 void BestTracker::offer_multiway(int attr,
@@ -114,6 +122,11 @@ void BestTracker::offer_nominal(int attr, std::span<const std::int64_t> table,
       left[static_cast<std::size_t>(c)] +=
           table[static_cast<std::size_t>(s * num_classes_ + c)];
     }
+    const std::optional<double> g = binary_gain(left);
+    if (!g) continue;
+    note_candidate(attr, *g);
+    // Only a new winner needs its routing table.
+    if (!(*g > best_gain_)) continue;
     const std::int64_t left_n = total(left);
     // Values unseen at this node route to the heavier child.
     std::vector<std::uint8_t> full = mask;
@@ -131,7 +144,7 @@ void BestTracker::offer_nominal(int attr, std::span<const std::int64_t> table,
     test.kind = SplitTest::Kind::Subset;
     test.attr = attr;
     test.in_left = std::move(full);
-    offer_binary(left, std::move(test));
+    adopt_binary(*g, std::move(test));
   }
 }
 

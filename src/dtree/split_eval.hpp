@@ -8,6 +8,7 @@
 // tree" is a meaningful, testable statement.
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "dtree/split.hpp"
@@ -77,6 +78,15 @@ class BestTracker {
   [[nodiscard]] std::int64_t parent_total() const { return n_; }
 
  private:
+  /// Gain of the binary split whose child 0 has class counts `left`
+  /// (left in scratch_both_ together with child 1's), or nullopt when
+  /// either side would be empty.
+  [[nodiscard]] std::optional<double> binary_gain(
+      std::span<const std::int64_t> left);
+  /// Make `test` (a binary split of gain `g` > best_gain_, child counts in
+  /// scratch_both_) the current winner.
+  void adopt_binary(double g, SplitTest test);
+
   /// Track the top-2 gains on *distinct* attributes over every valid
   /// candidate (no min_gain floor): when a winner exists it is always the
   /// overall best, so top2 is the best rival attribute — the runner-up

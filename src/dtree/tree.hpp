@@ -1,13 +1,16 @@
 // The classification decision tree.
 //
-// Nodes live in a flat arena; children of a node are contiguous. The tree
-// is grown by repeatedly calling expand() with a SplitDecision — the
-// serial builder and all three parallel formulations use this same
-// expansion path, so structural equality between their outputs is
-// meaningful (and tested).
+// Nodes live in an arena indexed by node id; children of a node are
+// contiguous. The arena is a deque, so growing it never relocates the
+// existing nodes (no doubling transient at the peak). The tree is grown
+// by repeatedly calling expand() with a SplitDecision — the serial
+// builder and all three parallel formulations use this same expansion
+// path, so structural equality between their outputs is meaningful (and
+// tested).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -97,7 +100,7 @@ class Tree {
   void print_node(std::string& out, const data::Schema& schema, int id,
                   int indent, int max_depth) const;
 
-  std::vector<Node> nodes_;
+  std::deque<Node> nodes_;
   SplitObserver* observer_ = nullptr;
 };
 

@@ -37,6 +37,82 @@ TEST(ModelIdentity, DigestInvariantAcrossFormulationsAndProcs) {
   }
 }
 
+// The fig8 options on raw continuous Quest data: per-node KMeans or
+// Quantile discretization over 32 micro-bins, so every Threshold test is
+// a micro-bin cut and the formulations route rows by their slot codes.
+struct PerNodeCase {
+  int function;
+  dtree::ContSplit cont_split;
+};
+
+std::string case_name(const PerNodeCase& c) {
+  return "F" + std::to_string(c.function) +
+         (c.cont_split == dtree::ContSplit::KMeans ? "KMeans" : "Quantile");
+}
+
+void PrintTo(const PerNodeCase& c, std::ostream* os) { *os << case_name(c); }
+
+class PerNodeModelIdentity : public ::testing::TestWithParam<PerNodeCase> {};
+
+/// Routing every training row down `tree` by raw value (Tree::route)
+/// reaches each node with exactly the class counts the build recorded
+/// there from its code-routed rows.
+void expect_raw_routing_reproduces_counts(const dtree::Tree& tree,
+                                          const data::Dataset& ds) {
+  std::vector<std::vector<std::int64_t>> counts(
+      static_cast<std::size_t>(tree.num_nodes()),
+      std::vector<std::int64_t>(
+          static_cast<std::size_t>(ds.schema().num_classes()), 0));
+  for (std::size_t row = 0; row < ds.num_rows(); ++row) {
+    int id = tree.root();
+    while (true) {
+      ++counts[static_cast<std::size_t>(id)]
+              [static_cast<std::size_t>(ds.label(row))];
+      if (tree.node(id).is_leaf()) break;
+      id = tree.node(id).first_child + tree.route(id, ds, row);
+    }
+  }
+  for (int id = 0; id < tree.num_nodes(); ++id) {
+    ASSERT_EQ(counts[static_cast<std::size_t>(id)],
+              tree.node(id).class_counts)
+        << "node " << id;
+  }
+}
+
+TEST_P(PerNodeModelIdentity, EveryFormulationAndProcCountRegrowsSerial) {
+  const PerNodeCase c = GetParam();
+  const data::Dataset ds =
+      data::quest_generate(4000, {.function = c.function, .seed = 25});
+  ParOptions opt;
+  opt.grow.cont_split = c.cont_split;
+  opt.grow.cont_bins = 32;
+  opt.grow.per_node_bins = 8;
+  opt.grow.min_records = 8;
+  const dtree::Tree serial = build_serial(ds, opt).tree;
+  ASSERT_GT(serial.num_nodes(), 1);
+  expect_raw_routing_reproduces_counts(serial, ds);
+  const std::string want = dtree::model_digest(serial);
+  for (const Formulation f :
+       {Formulation::Sync, Formulation::Partitioned, Formulation::Hybrid}) {
+    for (const int p : {1, 3, 5, 8}) {
+      opt.num_procs = p;
+      const ParResult res = build(f, ds, opt);
+      EXPECT_EQ(dtree::model_digest(res.tree), want)
+          << to_string(f) << " P=" << p;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig8Options, PerNodeModelIdentity,
+    ::testing::Values(PerNodeCase{2, dtree::ContSplit::KMeans},
+                      PerNodeCase{2, dtree::ContSplit::Quantile},
+                      PerNodeCase{7, dtree::ContSplit::KMeans},
+                      PerNodeCase{7, dtree::ContSplit::Quantile}),
+    [](const ::testing::TestParamInfo<PerNodeCase>& info) {
+      return case_name(info.param);
+    });
+
 TEST(ModelIdentity, AuditedBuildEntriesPairWithInternalNodes) {
   const data::Dataset ds = quest_binned(2000, 22);
   for (const Formulation f :

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
+#include "data/discretize.hpp"
 #include "data/golf.hpp"
 #include "data/quest.hpp"
 
@@ -94,6 +99,94 @@ TEST(SlotMapper, BinCentersBetweenBoundaries) {
       EXPECT_LE(c, mapper.boundary(attr, s));
     }
   }
+}
+
+/// Every cell: the code table of a continuous attribute holds exactly the
+/// slot data::bin_of gives against the mapper's cuts, and a categorical
+/// attribute's slot is its value.
+void expect_codes_match_bin_of(const data::Dataset& ds,
+                               const SlotMapper& mapper) {
+  for (int a = 0; a < ds.num_attributes(); ++a) {
+    for (std::size_t row = 0; row < ds.num_rows(); ++row) {
+      if (ds.schema().attr(a).is_categorical()) {
+        ASSERT_EQ(mapper.slot(a, row), ds.cat(a, row)) << "attr " << a;
+        continue;
+      }
+      const int want = data::bin_of(ds.cont(a, row), mapper.boundaries(a));
+      ASSERT_EQ(mapper.slot(a, row), want)
+          << "attr " << a << " row " << row << " value " << ds.cont(a, row)
+          << " bins " << mapper.cont_bins();
+    }
+  }
+}
+
+/// A dataset of continuous columns, one row per index of `cols[0]`.
+data::Dataset continuous_columns(
+    const std::vector<std::vector<double>>& cols) {
+  std::vector<data::Attribute> attrs;
+  for (std::size_t a = 0; a < cols.size(); ++a) {
+    attrs.push_back(data::Attribute::continuous("x" + std::to_string(a)));
+  }
+  data::Dataset ds(data::Schema(std::move(attrs), 2), cols[0].size());
+  for (std::size_t row = 0; row < cols[0].size(); ++row) {
+    ds.add_row(static_cast<std::int32_t>(row % 2));
+    for (std::size_t a = 0; a < cols.size(); ++a) {
+      ds.set_cont(static_cast<int>(a), row, cols[a][row]);
+    }
+  }
+  return ds;
+}
+
+TEST(SlotMapperCodes, QuestCellsEqualBinOf) {
+  const data::Dataset ds = data::quest_generate(5000, {.function = 7, .seed = 9});
+  for (const int bins : {2, 32, 256}) {
+    expect_codes_match_bin_of(ds, SlotMapper(ds, bins));
+  }
+}
+
+TEST(SlotMapperCodes, HandMadeColumnsOnCutsEndsAndConstants) {
+  for (const int bins : {2, 32, 256}) {
+    // Ranges whose widths do not divide evenly, so the O(1) guess lands
+    // one bin off near the cuts.
+    for (const auto& [lo, hi] : {std::pair{-3.7, 12.1}, std::pair{0.1, 0.3},
+                                std::pair{20000.0, 150000.0}}) {
+      std::vector<double> col{lo, hi, 0.5 * (lo + hi)};
+      for (const double cut : data::uniform_boundaries(lo, hi, bins)) {
+        col.push_back(cut);
+        col.push_back(std::nextafter(cut, lo));
+        col.push_back(std::nextafter(cut, hi));
+      }
+      col.push_back(std::nextafter(lo, hi));
+      col.push_back(std::nextafter(hi, lo));
+      // A constant column (lo == hi: every cut equals the value).
+      const std::vector<double> constant(col.size(), lo);
+      const data::Dataset ds = continuous_columns({col, constant});
+      const SlotMapper mapper(ds, bins);
+      ASSERT_EQ(mapper.boundaries(0).size(), static_cast<std::size_t>(bins - 1));
+      expect_codes_match_bin_of(ds, mapper);
+      EXPECT_EQ(mapper.slot(0, 0), 0);         // lo
+      EXPECT_EQ(mapper.slot(0, 1), bins - 1);  // hi
+      EXPECT_EQ(mapper.slot(1, 0), bins - 1);  // constant: on every cut
+      // On-cut values go right.
+      for (int t = 0; t < bins - 1; ++t) {
+        EXPECT_EQ(mapper.slot(0, 3 + 3 * static_cast<std::size_t>(t)), t + 1);
+      }
+    }
+  }
+}
+
+TEST(SlotMapperCodes, NonFiniteValuesFallBackToBinOf) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const data::Dataset ds = continuous_columns(
+      {{0.0, 1.0, nan, 0.5, 0.25}, {0.0, 1.0, 0.5, inf, -inf}});
+  expect_codes_match_bin_of(ds, SlotMapper(ds, 32));
+}
+
+TEST(SlotMapperCodes, MoreThan256BinsIsRejected) {
+  const data::Dataset ds = data::quest_generate(50, {.seed = 3});
+  EXPECT_NO_THROW(SlotMapper(ds, SlotMapper::kMaxContBins));
+  EXPECT_THROW(SlotMapper(ds, 257), std::invalid_argument);
 }
 
 }  // namespace

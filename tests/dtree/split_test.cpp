@@ -6,7 +6,9 @@
 
 #include "data/golf.hpp"
 #include "data/quest.hpp"
+#include "dtree/builder.hpp"
 #include "dtree/histogram.hpp"
+#include "dtree/tree.hpp"
 
 namespace pdt::dtree {
 namespace {
@@ -229,6 +231,36 @@ TEST(ChooseSplit, PerNodeCandidatesNeverBeatFullScan) {
   const auto dk = choose_split(f.hist, f.layout, f.ds.schema(), f.mapper, km);
   EXPECT_GE(ds.gain, dk.gain - 1e-12)
       << "restricting candidates cannot increase the best gain";
+}
+
+TEST(ChooseSplit, CodeRoutingEqualsRawThresholdRouting) {
+  // Every Threshold test a micro-bin grower picks cuts at a micro-bin
+  // boundary, so routing a row by its slot code must agree with comparing
+  // its raw value, for every row of the training set.
+  for (const int function : {2, 7}) {
+    const data::Dataset raw =
+        data::quest_generate(3000, {.function = function, .seed = 31});
+    const SlotMapper mapper(raw, 32);
+    for (const ContSplit cs :
+         {ContSplit::ThresholdScan, ContSplit::KMeans, ContSplit::Quantile}) {
+      GrowOptions opt;
+      opt.cont_split = cs;
+      const Tree tree = grow_bfs(raw, opt);
+      int thresholds = 0;
+      for (int id = 0; id < tree.num_nodes(); ++id) {
+        const SplitTest& t = tree.node(id).test;
+        if (t.kind != SplitTest::Kind::Threshold) continue;
+        ++thresholds;
+        ASSERT_GE(t.slot_threshold, 0);
+        for (std::size_t row = 0; row < raw.num_rows(); ++row) {
+          const int by_value = raw.cont(t.attr, row) < t.threshold ? 0 : 1;
+          ASSERT_EQ(t.child_of_slot(mapper.slot(t.attr, row)), by_value)
+              << "function " << function << " node " << id << " row " << row;
+        }
+      }
+      EXPECT_GT(thresholds, 0) << "function " << function;
+    }
+  }
 }
 
 }  // namespace
