@@ -2,9 +2,13 @@
 // performance of the pieces the simulation executes (histogram updates,
 // split selection, generator throughput, classification, collectives).
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <numeric>
+#include <string>
 
+#include "core/ckpt.hpp"
 #include "core/runner.hpp"
 #include "data/discretize.hpp"
 #include "data/partition.hpp"
@@ -13,6 +17,7 @@
 #include "dtree/histogram.hpp"
 #include "dtree/metrics.hpp"
 #include "dtree/prune.hpp"
+#include "dtree/sha256.hpp"
 
 using namespace pdt;
 
@@ -97,6 +102,63 @@ void BM_ChooseSplit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChooseSplit);
+
+void BM_Sha256(benchmark::State& state) {
+  // The digest every checkpoint section and model document carries;
+  // bytes/s. The label names the compression path this CPU runs.
+  const std::string data(std::size_t{1} << 20, 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dtree::sha256(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+  state.SetLabel(dtree::sha256_uses_sha_ni() ? "sha_ni" : "portable");
+}
+BENCHMARK(BM_Sha256);
+
+/// A mid-run checkpoint of the fig6 data: the middle durable epoch of a
+/// hybrid P=8 build over the 50k binned Quest records.
+const core::RunSnapshot& mid_run_snapshot() {
+  static const core::RunSnapshot snap = [] {
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("pdt_micro_bench_ckpt." + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    core::ParOptions opt;
+    opt.num_procs = 8;
+    opt.ckpt_dir = dir.string();
+    opt.ckpt_keep = 1 << 20;
+    const core::ParResult r = core::build_hybrid(quest_binned(), opt);
+    core::RunSnapshot s;
+    int skipped = 0;
+    std::string err;
+    (void)core::CheckpointStore(opt.ckpt_dir, opt.ckpt_keep)
+        .load_latest(&s, r.recovery.durable_checkpoints / 2, &skipped, &err);
+    fs::remove_all(dir);
+    return s;
+  }();
+  return snap;
+}
+
+void BM_CkptTextParse(benchmark::State& state) {
+  // One checkpoint epoch's host work besides the I/O: render the file
+  // bytes, then parse and validate them back; bytes/s of file.
+  const core::RunSnapshot& snap = mid_run_snapshot();
+  if (snap.epoch < 0) {
+    state.SkipWithError("no checkpoint epoch was committed");
+    return;
+  }
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = core::ckpt_text(snap);
+    core::RunSnapshot back;
+    benchmark::DoNotOptimize(core::parse_ckpt(text, &back));
+    bytes += static_cast<std::int64_t>(text.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_CkptTextParse)->Unit(benchmark::kMillisecond);
 
 void BM_SerialGrowBfs(benchmark::State& state) {
   const data::Dataset ds = data::discretize_uniform(

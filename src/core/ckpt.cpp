@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <ranges>
 #include <stdexcept>
+#include <system_error>
 
 #include "dtree/serialize.hpp"
 #include "dtree/sha256.hpp"
@@ -20,205 +24,276 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Exact round-trip double rendering (C99 %a hexfloat): strtod restores
-/// the identical bit pattern, which counters like histogram_words need —
-/// a resumed run must finish with the same accounting as an
-/// uninterrupted one, not one ulp off.
-std::string double_exact(double v) {
+// Writers: a payload line is a key and space-separated tokens, appended
+// into one reserved string with no stream or string temporaries.
+
+/// An integer token in decimal (std::to_string's bytes).
+template <std::integral T>
+void put(std::string& out, T v) {
+  char buf[24];
+  out += ' ';
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// A double token as a C99 %a hexfloat: strtod restores the identical
+/// bit pattern, which counters like histogram_words need — a resumed run
+/// must finish with the same accounting as an uninterrupted one, not one
+/// ulp off.
+void put(std::string& out, double v) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
+  const int n = std::snprintf(buf, sizeof buf, "%a", v);
+  out += ' ';
+  out.append(buf, static_cast<std::size_t>(n));
 }
 
-/// Read one whitespace-delimited token and strtod it (istream's >> does
-/// not accept hexfloat). False when the token is missing or malformed.
-bool read_double(std::istream& in, double* v) {
-  std::string tok;
-  if (!(in >> tok) || tok.empty()) return false;
-  char* end = nullptr;
-  *v = std::strtod(tok.c_str(), &end);
-  return end == tok.c_str() + tok.size();
+void put(std::string& out, std::string_view text) {
+  out += ' ';
+  out += text;
 }
 
-/// Expect the literal keyword `key` as the next token.
-bool expect_key(std::istream& in, const char* key) {
-  std::string tok;
-  return (in >> tok) && tok == key;
+/// A range puts each element as its own token (none when empty).
+template <std::ranges::range R>
+  requires(!std::convertible_to<const R&, std::string_view>)
+void put(std::string& out, const R& values) {
+  for (const auto& v : values) put(out, v);
 }
+
+template <class... T>
+void put_line(std::string& out, std::string_view key, const T&... tokens) {
+  out += key;
+  (put(out, tokens), ...);
+  out += '\n';
+}
+
+/// The whitespace-separated tokens of a meta or state payload, read in
+/// place. Every count is a plain decimal no larger than the bytes left
+/// after it (each counted item takes at least one byte), so a corrupt
+/// count is rejected before it can size an allocation.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view text) : text_(text) {}
+
+  /// The next token; empty at the end of the payload.
+  std::string_view next() {
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && !is_space(text_[pos_])) ++pos_;
+    return text_.substr(start, pos_ - start);
+  }
+
+  /// The next token is exactly `key`.
+  bool key(std::string_view word) { return next() == word; }
+
+  /// The next token is a whole decimal integer that fits in T.
+  template <class T>
+  bool integer(T* v) {
+    const std::string_view tok = next();
+    const char* end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, *v);
+    return ec == std::errc() && ptr == end;
+  }
+
+  /// The next token is a count: an integer no larger than the bytes left.
+  bool count(std::size_t* n) {
+    return integer(n) && *n <= text_.size() - pos_;
+  }
+
+  /// The next token is a whole strtod number (hexfloats included).
+  bool real(double* v) {
+    const std::string_view tok = next();
+    char buf[64];
+    if (tok.empty() || tok.size() >= sizeof buf) return false;
+    std::memcpy(buf, tok.data(), tok.size());
+    buf[tok.size()] = '\0';
+    char* end = nullptr;
+    *v = std::strtod(buf, &end);
+    return end == buf + tok.size();
+  }
+
+  /// The rest of the current line, without its '\n'.
+  std::string_view rest_of_line() {
+    const std::size_t nl = std::min(text_.find('\n', pos_), text_.size());
+    const std::string_view rest = text_.substr(pos_, nl - pos_);
+    pos_ = std::min(nl + 1, text_.size());
+    return rest;
+  }
+
+ private:
+  static bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
 
 // ---------------------------------------------------------------- meta --
 
 std::string meta_text(const RunSnapshot& s) {
-  std::ostringstream os;
-  os << "formulation " << s.formulation << "\n"
-     << "num_procs " << s.num_procs << "\n"
-     << "seed " << s.seed << "\n"
-     << "levels " << s.levels << "\n"
-     << "partition_splits " << s.partition_splits << "\n"
-     << "rejoins " << s.rejoins << "\n"
-     << "records_moved " << s.records_moved << "\n"
-     << "histogram_words " << double_exact(s.histogram_words) << "\n"
-     << "record_words " << double_exact(s.record_words) << "\n"
-     << "cost " << double_exact(s.cost.t_s) << " " << double_exact(s.cost.t_w)
-     << " " << double_exact(s.cost.t_c) << " " << double_exact(s.cost.t_io)
-     << " " << double_exact(s.cost.t_timeout) << "\n"
-     << "fingerprint " << s.fingerprint << "\n"
-     << "tree_digest " << s.tree_digest << "\n";
-  return os.str();
+  std::string out;
+  out.reserve(512 + s.formulation.size() + s.fingerprint.size());
+  put_line(out, "formulation", s.formulation);
+  put_line(out, "num_procs", s.num_procs);
+  put_line(out, "seed", s.seed);
+  put_line(out, "levels", s.levels);
+  put_line(out, "partition_splits", s.partition_splits);
+  put_line(out, "rejoins", s.rejoins);
+  put_line(out, "records_moved", s.records_moved);
+  put_line(out, "histogram_words", s.histogram_words);
+  put_line(out, "record_words", s.record_words);
+  put_line(out, "cost", s.cost.t_s, s.cost.t_w, s.cost.t_c, s.cost.t_io,
+           s.cost.t_timeout);
+  put_line(out, "fingerprint", s.fingerprint);
+  put_line(out, "tree_digest", s.tree_digest);
+  return out;
 }
 
-std::string parse_meta(const std::string& text, RunSnapshot* out) {
-  std::istringstream in(text);
-  if (!expect_key(in, "formulation") || !(in >> out->formulation)) {
-    return "meta: bad formulation";
-  }
-  if (!expect_key(in, "num_procs") || !(in >> out->num_procs) ||
+std::string parse_meta(std::string_view text, RunSnapshot* out) {
+  Tokens in(text);
+  if (!in.key("formulation")) return "meta: bad formulation";
+  out->formulation = in.next();
+  if (out->formulation.empty()) return "meta: bad formulation";
+  if (!in.key("num_procs") || !in.integer(&out->num_procs) ||
       out->num_procs < 1) {
     return "meta: bad num_procs";
   }
-  if (!expect_key(in, "seed") || !(in >> out->seed)) return "meta: bad seed";
-  if (!expect_key(in, "levels") || !(in >> out->levels) || out->levels < 0) {
+  if (!in.key("seed") || !in.integer(&out->seed)) return "meta: bad seed";
+  if (!in.key("levels") || !in.integer(&out->levels) || out->levels < 0) {
     return "meta: bad levels";
   }
-  if (!expect_key(in, "partition_splits") || !(in >> out->partition_splits)) {
+  if (!in.key("partition_splits") || !in.integer(&out->partition_splits)) {
     return "meta: bad partition_splits";
   }
-  if (!expect_key(in, "rejoins") || !(in >> out->rejoins)) {
+  if (!in.key("rejoins") || !in.integer(&out->rejoins)) {
     return "meta: bad rejoins";
   }
-  if (!expect_key(in, "records_moved") || !(in >> out->records_moved)) {
+  if (!in.key("records_moved") || !in.integer(&out->records_moved)) {
     return "meta: bad records_moved";
   }
-  if (!expect_key(in, "histogram_words") ||
-      !read_double(in, &out->histogram_words)) {
+  if (!in.key("histogram_words") || !in.real(&out->histogram_words)) {
     return "meta: bad histogram_words";
   }
-  if (!expect_key(in, "record_words") || !read_double(in, &out->record_words)) {
+  if (!in.key("record_words") || !in.real(&out->record_words)) {
     return "meta: bad record_words";
   }
-  if (!expect_key(in, "cost") || !read_double(in, &out->cost.t_s) ||
-      !read_double(in, &out->cost.t_w) || !read_double(in, &out->cost.t_c) ||
-      !read_double(in, &out->cost.t_io) ||
-      !read_double(in, &out->cost.t_timeout)) {
+  if (!in.key("cost") || !in.real(&out->cost.t_s) ||
+      !in.real(&out->cost.t_w) || !in.real(&out->cost.t_c) ||
+      !in.real(&out->cost.t_io) || !in.real(&out->cost.t_timeout)) {
     return "meta: bad cost constants";
   }
-  {
-    std::string key;
-    if (!(in >> key) || key != "fingerprint") return "meta: bad fingerprint";
-    std::getline(in, out->fingerprint);
-    if (!out->fingerprint.empty() && out->fingerprint.front() == ' ') {
-      out->fingerprint.erase(0, 1);
-    }
+  if (!in.key("fingerprint")) return "meta: bad fingerprint";
+  std::string_view fingerprint = in.rest_of_line();
+  if (!fingerprint.empty() && fingerprint.front() == ' ') {
+    fingerprint.remove_prefix(1);
   }
-  if (!expect_key(in, "tree_digest") || !(in >> out->tree_digest) ||
-      out->tree_digest.size() != 64) {
-    return "meta: bad tree_digest";
-  }
+  out->fingerprint = fingerprint;
+  if (!in.key("tree_digest")) return "meta: bad tree_digest";
+  out->tree_digest = in.next();
+  if (out->tree_digest.size() != 64) return "meta: bad tree_digest";
   return "";
 }
 
 // --------------------------------------------------------------- state --
 
 std::string state_text(const RunSnapshot& s) {
-  std::ostringstream os;
-  os << "parts " << s.parts.size() << "\n";
+  // Row ids are nearly all of the payload: reserve for ~7 digits each
+  // plus a line of keywords per row list, rank and part.
+  std::size_t rows_total = 0;
+  for (const CkptPart& p : s.parts) {
+    for (const NodeWork& nw : p.frontier) {
+      for (const auto& rows : nw.local_rows) rows_total += rows.size() + 8;
+    }
+  }
+  std::string out;
+  out.reserve(8 * rows_total + 256 * (1 + s.parts.size() + s.mem.size()));
+
+  put_line(out, "parts", s.parts.size());
   for (std::size_t k = 0; k < s.parts.size(); ++k) {
     const CkptPart& p = s.parts[k];
-    os << "part " << k << " acc_comm " << double_exact(p.acc_comm) << " ranks "
-       << p.ranks.size();
-    for (const mpsim::Rank r : p.ranks) os << " " << r;
-    os << "\n"
-       << "nodes " << p.frontier.size() << "\n";
+    put_line(out, "part", k, "acc_comm", p.acc_comm, "ranks",
+             p.ranks.size(), p.ranks);
+    put_line(out, "nodes", p.frontier.size());
     for (const NodeWork& nw : p.frontier) {
-      os << "node " << nw.node_id << " " << nw.local_rows.size() << "\n";
+      put_line(out, "node", nw.node_id, nw.local_rows.size());
       for (const auto& rows : nw.local_rows) {
-        os << "rows " << rows.size();
-        for (const data::RowId row : rows) os << " " << row;
-        os << "\n";
+        put_line(out, "rows", rows.size(), rows);
       }
     }
   }
-  os << "idle " << s.idle.size() << "\n";
-  for (const auto& g : s.idle) {
-    os << "igroup " << g.size();
-    for (const mpsim::Rank r : g) os << " " << r;
-    os << "\n";
-  }
-  os << "mem " << s.mem.size() << "\n";
+  put_line(out, "idle", s.idle.size());
+  for (const auto& g : s.idle) put_line(out, "igroup", g.size(), g);
+  put_line(out, "mem", s.mem.size());
   for (std::size_t r = 0; r < s.mem.size(); ++r) {
     const mpsim::MemStats& m = s.mem[r];
-    os << "rank " << r << " live";
-    for (const std::int64_t b : m.live) os << " " << b;
-    os << " " << m.live_total << " peak";
-    for (const std::int64_t b : m.peak) os << " " << b;
-    os << " " << m.peak_total << "\n";
+    put_line(out, "rank", r, "live", m.live, m.live_total, "peak", m.peak,
+             m.peak_total);
   }
-  return os.str();
+  return out;
 }
 
-std::string parse_state(const std::string& text, RunSnapshot* out) {
-  std::istringstream in(text);
+std::string parse_state(std::string_view text, RunSnapshot* out) {
+  Tokens in(text);
   const int P = out->num_procs;
   const auto rank_ok = [P](mpsim::Rank r) { return r >= 0 && r < P; };
 
   std::size_t nparts = 0;
-  if (!expect_key(in, "parts") || !(in >> nparts)) return "state: bad parts";
+  if (!in.key("parts") || !in.count(&nparts)) return "state: bad parts";
   out->parts.resize(nparts);
   for (std::size_t k = 0; k < nparts; ++k) {
     CkptPart& p = out->parts[k];
     std::size_t idx = 0, nranks = 0;
-    if (!expect_key(in, "part") || !(in >> idx) || idx != k ||
-        !expect_key(in, "acc_comm") || !read_double(in, &p.acc_comm) ||
-        !expect_key(in, "ranks") || !(in >> nranks) || nranks == 0 ||
+    if (!in.key("part") || !in.integer(&idx) || idx != k ||
+        !in.key("acc_comm") || !in.real(&p.acc_comm) || !in.key("ranks") ||
+        !in.count(&nranks) || nranks == 0 ||
         nranks > static_cast<std::size_t>(P)) {
       return "state: bad part header";
     }
     p.ranks.resize(nranks);
     for (mpsim::Rank& r : p.ranks) {
-      if (!(in >> r) || !rank_ok(r)) return "state: bad part rank";
+      if (!in.integer(&r) || !rank_ok(r)) return "state: bad part rank";
     }
     std::size_t nnodes = 0;
-    if (!expect_key(in, "nodes") || !(in >> nnodes)) {
+    if (!in.key("nodes") || !in.count(&nnodes)) {
       return "state: bad node count";
     }
     p.frontier.resize(nnodes);
     for (NodeWork& nw : p.frontier) {
       std::size_t nmembers = 0;
-      if (!expect_key(in, "node") || !(in >> nw.node_id) || nw.node_id < 0 ||
-          !(in >> nmembers) || nmembers != nranks) {
+      if (!in.key("node") || !in.integer(&nw.node_id) || nw.node_id < 0 ||
+          !in.count(&nmembers) || nmembers != nranks) {
         return "state: bad node header";
       }
       nw.local_rows.resize(nmembers);
       for (auto& rows : nw.local_rows) {
         std::size_t count = 0;
-        if (!expect_key(in, "rows") || !(in >> count)) {
+        if (!in.key("rows") || !in.count(&count)) {
           return "state: bad row count";
         }
         rows.resize(count);
         for (data::RowId& row : rows) {
-          if (!(in >> row)) return "state: bad row id";
+          if (!in.integer(&row)) return "state: bad row id";
         }
       }
     }
   }
 
   std::size_t nidle = 0;
-  if (!expect_key(in, "idle") || !(in >> nidle)) return "state: bad idle";
+  if (!in.key("idle") || !in.count(&nidle)) return "state: bad idle";
   out->idle.resize(nidle);
   for (auto& g : out->idle) {
     std::size_t n = 0;
-    if (!expect_key(in, "igroup") || !(in >> n) || n == 0 ||
+    if (!in.key("igroup") || !in.count(&n) || n == 0 ||
         n > static_cast<std::size_t>(P)) {
       return "state: bad idle group";
     }
     g.resize(n);
     for (mpsim::Rank& r : g) {
-      if (!(in >> r) || !rank_ok(r)) return "state: bad idle rank";
+      if (!in.integer(&r) || !rank_ok(r)) return "state: bad idle rank";
     }
   }
 
   std::size_t nmem = 0;
-  if (!expect_key(in, "mem") || !(in >> nmem) ||
+  if (!in.key("mem") || !in.count(&nmem) ||
       nmem != static_cast<std::size_t>(P)) {
     return "state: bad mem count";
   }
@@ -226,36 +301,48 @@ std::string parse_state(const std::string& text, RunSnapshot* out) {
   for (std::size_t r = 0; r < nmem; ++r) {
     mpsim::MemStats& m = out->mem[r];
     std::size_t idx = 0;
-    if (!expect_key(in, "rank") || !(in >> idx) || idx != r ||
-        !expect_key(in, "live")) {
+    if (!in.key("rank") || !in.integer(&idx) || idx != r ||
+        !in.key("live")) {
       return "state: bad mem rank";
     }
     for (std::int64_t& b : m.live) {
-      if (!(in >> b)) return "state: bad mem live";
+      if (!in.integer(&b)) return "state: bad mem live";
     }
-    if (!(in >> m.live_total) || !expect_key(in, "peak")) {
+    if (!in.integer(&m.live_total) || !in.key("peak")) {
       return "state: bad mem live total";
     }
     for (std::int64_t& b : m.peak) {
-      if (!(in >> b)) return "state: bad mem peak";
+      if (!in.integer(&b)) return "state: bad mem peak";
     }
-    if (!(in >> m.peak_total)) return "state: bad mem peak total";
+    if (!in.integer(&m.peak_total)) return "state: bad mem peak total";
   }
-  std::string extra;
-  if (in >> extra) return "state: trailing tokens";
+  if (!in.next().empty()) return "state: trailing tokens";
   return "";
 }
 
 // ------------------------------------------------------------- framing --
 
-void append_section(std::string& out, const char* name,
-                    const std::string& payload) {
-  out += "section ";
-  out += name;
-  out += " " + std::to_string(payload.size()) + " " +
-         dtree::sha256_hex(payload) + "\n";
+void append_section(std::string& out, std::string_view name,
+                    std::string_view payload, std::string_view sha) {
+  put_line(out, "section", name, payload.size(), sha);
   out += payload;
-  out += "\n";
+  out += '\n';
+}
+
+/// The file bytes of `snap`, with `tree_sha` — the hex SHA-256 of
+/// snap.tree_json — as the tree section's digest.
+std::string render(const RunSnapshot& snap, std::string_view tree_sha) {
+  const std::string meta = meta_text(snap);
+  const std::string state = state_text(snap);
+  std::string out;
+  out.reserve(256 + meta.size() + snap.tree_json.size() + state.size());
+  out += "pdt-ckpt-v1\n";
+  put_line(out, "epoch", snap.epoch);
+  out += "sections 3\n";
+  append_section(out, "meta", meta, dtree::sha256_hex(meta));
+  append_section(out, "tree", snap.tree_json, tree_sha);
+  append_section(out, "state", state, dtree::sha256_hex(state));
+  return out;
 }
 
 /// Pull the next '\n'-terminated line off `rest`.
@@ -268,28 +355,28 @@ bool take_line(std::string_view& rest, std::string_view* line) {
 }
 
 /// Parse `section <name> <bytes> <sha>` + payload + '\n' off `rest`,
-/// verifying the framing and the payload digest.
-std::string take_section(std::string_view& rest, const char* name,
-                         std::string* payload) {
+/// verifying the framing and the payload digest. The byte count must be
+/// a plain decimal that fits in what is left of the file. On success
+/// `payload` views the section's bytes in `rest`'s buffer and `sha` the
+/// header digest they were checked against.
+std::string take_section(std::string_view& rest, std::string_view name,
+                         std::string_view* payload, std::string_view* sha) {
+  const std::string label(name);
   std::string_view line;
-  if (!take_line(rest, &line)) {
-    return std::string("truncated before section ") + name;
-  }
-  std::istringstream hdr{std::string(line)};
-  std::string tag, got;
+  if (!take_line(rest, &line)) return "truncated before section " + label;
+  Tokens header(line);
   std::size_t nbytes = 0;
-  std::string sha;
-  if (!(hdr >> tag >> got >> nbytes >> sha) || tag != "section" ||
-      got != name || sha.size() != 64) {
-    return std::string("bad section header for ") + name;
+  if (!header.key("section") || !header.key(name) ||
+      !header.integer(&nbytes) || (*sha = header.next()).size() != 64) {
+    return "bad section header for " + label;
   }
-  if (rest.size() < nbytes + 1 || rest[nbytes] != '\n') {
-    return std::string("section ") + name + " truncated";
+  if (nbytes >= rest.size() || rest[nbytes] != '\n') {
+    return "section " + label + " truncated";
   }
-  *payload = std::string(rest.substr(0, nbytes));
+  *payload = rest.substr(0, nbytes);
   rest.remove_prefix(nbytes + 1);
-  if (dtree::sha256_hex(*payload) != sha) {
-    return std::string("section ") + name + " digest mismatch";
+  if (dtree::sha256_hex(*payload) != *sha) {
+    return "section " + label + " digest mismatch";
   }
   return "";
 }
@@ -299,16 +386,21 @@ std::string epoch_file(int epoch) {
   return "ckpt-" + std::to_string(epoch) + ".pdt";
 }
 
+/// The whole file at `path`; false when it cannot be opened or read.
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  const std::streamoff size = in.tellg();
+  if (size < 0) return false;
+  out->resize(static_cast<std::size_t>(size));
+  in.seekg(0);
+  return static_cast<bool>(in.read(out->data(), size));
+}
+
 }  // namespace
 
 std::string ckpt_text(const RunSnapshot& snap) {
-  std::string out = "pdt-ckpt-v1\n";
-  out += "epoch " + std::to_string(snap.epoch) + "\n";
-  out += "sections 3\n";
-  append_section(out, "meta", meta_text(snap));
-  append_section(out, "tree", snap.tree_json);
-  append_section(out, "state", state_text(snap));
-  return out;
+  return render(snap, dtree::sha256_hex(snap.tree_json));
 }
 
 std::string parse_ckpt(std::string_view text, RunSnapshot* out) {
@@ -318,30 +410,31 @@ std::string parse_ckpt(std::string_view text, RunSnapshot* out) {
   if (!take_line(rest, &line) || line != "pdt-ckpt-v1") {
     return "not a pdt-ckpt-v1 file";
   }
-  if (!take_line(rest, &line) || line.substr(0, 6) != "epoch ") {
+  if (!take_line(rest, &line) || !line.starts_with("epoch ")) {
     return "missing epoch line";
   }
-  {
-    std::istringstream in{std::string(line.substr(6))};
-    if (!(in >> out->epoch) || out->epoch < 0) return "bad epoch number";
+  if (!Tokens(line.substr(6)).integer(&out->epoch) || out->epoch < 0) {
+    return "bad epoch number";
   }
   if (!take_line(rest, &line) || line != "sections 3") {
     return "missing sections line";
   }
 
-  std::string meta, tree, state;
-  std::string err = take_section(rest, "meta", &meta);
-  if (err.empty()) err = take_section(rest, "tree", &tree);
-  if (err.empty()) err = take_section(rest, "state", &state);
+  std::string_view meta, tree, state, meta_sha, tree_sha, state_sha;
+  std::string err = take_section(rest, "meta", &meta, &meta_sha);
+  if (err.empty()) err = take_section(rest, "tree", &tree, &tree_sha);
+  if (err.empty()) err = take_section(rest, "state", &state, &state_sha);
   if (!err.empty()) return err;
   if (!rest.empty()) return "trailing bytes after state section";
 
   err = parse_meta(meta, out);
   if (!err.empty()) return err;
-  out->tree_json = std::move(tree);
+  out->tree_json = tree;
   // The meta's digest must name the tree payload — the cross-check that
-  // binds the sections of one epoch together.
-  if (dtree::sha256_hex(out->tree_json) != out->tree_digest) {
+  // binds the sections of one epoch together. take_section has verified
+  // tree_sha against the payload, so comparing with it is the same check
+  // as hashing the payload again.
+  if (tree_sha != out->tree_digest) {
     return "tree section does not match meta tree_digest";
   }
   return parse_state(state, out);
@@ -382,9 +475,13 @@ int CheckpointStore::latest_epoch() const {
 }
 
 bool CheckpointStore::save(const RunSnapshot& snap, std::int64_t* bytes_out) {
-  const std::string text = ckpt_text(snap);
+  return commit(snap.epoch, ckpt_text(snap), bytes_out);
+}
+
+bool CheckpointStore::commit(int epoch, const std::string& text,
+                             std::int64_t* bytes_out) {
   {
-    obs::AtomicFile f(epoch_path(snap.epoch));
+    obs::AtomicFile f(epoch_path(epoch));
     if (!f.ok()) return false;
     f.stream().write(text.data(), static_cast<std::streamsize>(text.size()));
     if (!f.commit()) return false;
@@ -395,8 +492,8 @@ bool CheckpointStore::save(const RunSnapshot& snap, std::int64_t* bytes_out) {
     obs::AtomicFile mf(dir_ + "/MANIFEST");
     if (mf.ok()) {
       mf.stream() << "pdt-ckpt-manifest-v1\n"
-                  << "latest " << snap.epoch << "\n"
-                  << "file " << epoch_file(snap.epoch) << "\n";
+                  << "latest " << epoch << "\n"
+                  << "file " << epoch_file(epoch) << "\n";
       (void)mf.commit();
     }
   }
@@ -423,14 +520,12 @@ int CheckpointStore::load_latest(RunSnapshot* out, int max_epoch, int* skipped,
     const int e = *it;
     if (max_epoch >= 0 && e > max_epoch) continue;  // bounded resume
     std::string err;
-    std::ifstream in(epoch_path(e), std::ios::binary);
-    if (!in) {
+    std::string bytes;
+    if (!read_file(epoch_path(e), &bytes)) {
       err = "cannot open";
     } else {
-      std::ostringstream buf;
-      buf << in.rdbuf();
       RunSnapshot snap;
-      err = parse_ckpt(buf.str(), &snap);
+      err = parse_ckpt(bytes, &snap);
       if (err.empty() && snap.epoch != e) {
         err = "epoch field disagrees with file name";
       }
@@ -459,7 +554,11 @@ DurableCheckpointer::DurableCheckpointer(ParContext& ctx,
     : ctx_(&ctx),
       formulation_(std::move(formulation)),
       store_(ctx.options().ckpt_dir, ctx.options().ckpt_keep) {
-  if (enabled()) epoch_ = store_.latest_epoch() + 1;
+  if (!enabled()) return;
+  epoch_ = store_.latest_epoch() + 1;
+  const obs::EnvFingerprint fp = obs::EnvFingerprint::collect();
+  fingerprint_ = fp.compiler + " | " + fp.git_sha +
+                 (fp.git_dirty ? "+dirty" : "") + " | " + fp.hostname;
 }
 
 void DurableCheckpointer::save(std::vector<CkptPart> parts,
@@ -497,11 +596,7 @@ void DurableCheckpointer::save(std::vector<CkptPart> parts,
   snap.histogram_words = ctx_->histogram_words;
   snap.record_words = ctx_->record_words();
   snap.cost = cm;
-  {
-    const obs::EnvFingerprint fp = obs::EnvFingerprint::collect();
-    snap.fingerprint = fp.compiler + " | " + fp.git_sha +
-                       (fp.git_dirty ? "+dirty" : "") + " | " + fp.hostname;
-  }
+  snap.fingerprint = fingerprint_;
   snap.tree_json = dtree::canonical_nodes_json(tree);
   snap.tree_digest = dtree::sha256_hex(snap.tree_json);
   snap.parts = std::move(parts);
@@ -541,8 +636,10 @@ void DurableCheckpointer::save(std::vector<CkptPart> parts,
     snap.mem.push_back(machine.mem(r));
   }
 
+  // snap.tree_digest was just hashed from snap.tree_json, so it is the
+  // tree section's digest: render with it rather than hash the tree twice.
   std::int64_t bytes = 0;
-  if (!store_.save(snap, &bytes)) {
+  if (!store_.commit(epoch_, render(snap, snap.tree_digest), &bytes)) {
     throw std::runtime_error("durable checkpoint write failed: " +
                              store_.epoch_path(epoch_));
   }

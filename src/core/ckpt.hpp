@@ -73,6 +73,8 @@ struct RunSnapshot {
 /// Serialize a snapshot to the full pdt-ckpt-v1 file bytes: a header
 /// naming the epoch, then three sections (meta, tree, state), each
 /// framed as `section <name> <bytes> <sha256hex>\n` + payload + `\n`.
+/// Every section digest, the tree's included, is hashed from the bytes
+/// written, whatever snap.tree_digest claims.
 [[nodiscard]] std::string ckpt_text(const RunSnapshot& snap);
 
 /// Parse + validate pdt-ckpt-v1 bytes: header structure, section
@@ -113,6 +115,11 @@ class CheckpointStore {
                                 std::string* error) const;
 
  private:
+  friend class DurableCheckpointer;
+
+  /// save() for already rendered file bytes.
+  [[nodiscard]] bool commit(int epoch, const std::string& text,
+                            std::int64_t* bytes_out);
   [[nodiscard]] std::vector<int> list_epochs() const;  // ascending
 
   std::string dir_;
@@ -146,6 +153,7 @@ class DurableCheckpointer {
   ParContext* ctx_;
   std::string formulation_;
   CheckpointStore store_;
+  std::string fingerprint_;  ///< meta provenance, collected once per build
   int epoch_ = 0;
 };
 

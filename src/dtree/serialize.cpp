@@ -1,6 +1,7 @@
 #include "dtree/serialize.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -61,47 +62,65 @@ const char* kind_name(SplitTest::Kind k) {
   return "?";
 }
 
+/// Append the decimal rendering of `v` (the same bytes std::to_string
+/// gives) without a temporary string.
+void append_int(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
 void append_counts(std::string& out, std::span<const std::int64_t> counts) {
-  out += "[";
+  out += '[';
   for (std::size_t c = 0; c < counts.size(); ++c) {
-    if (c != 0) out += ",";
-    out += std::to_string(counts[c]);
+    if (c != 0) out += ',';
+    append_int(out, counts[c]);
   }
-  out += "]";
+  out += ']';
 }
 
 /// Serialize one node under its canonical ids. `canon_of` maps arena id
 /// -> canonical id (-1 for detached nodes, which never appear here).
 void append_node(std::string& out, const Node& nd, int canon_id,
                  int canon_parent, int canon_first_child) {
-  out += "{\"id\":" + std::to_string(canon_id);
-  out += ",\"parent\":" + std::to_string(canon_parent);
-  out += ",\"first_child\":" + std::to_string(canon_first_child);
-  out += ",\"depth\":" + std::to_string(nd.depth);
-  out += ",\"majority\":" + std::to_string(nd.majority);
+  out += "{\"id\":";
+  append_int(out, canon_id);
+  out += ",\"parent\":";
+  append_int(out, canon_parent);
+  out += ",\"first_child\":";
+  append_int(out, canon_first_child);
+  out += ",\"depth\":";
+  append_int(out, nd.depth);
+  out += ",\"majority\":";
+  append_int(out, nd.majority);
   out += ",\"counts\":";
   append_counts(out, nd.class_counts);
   out += ",\"kind\":\"";
   out += kind_name(nd.test.kind);
-  out += "\"";
+  out += '"';
   if (!nd.is_leaf()) {
-    out += ",\"attr\":" + std::to_string(nd.test.attr);
-    out += ",\"children\":" + std::to_string(nd.test.num_children);
+    out += ",\"attr\":";
+    append_int(out, nd.test.attr);
+    out += ",\"children\":";
+    append_int(out, nd.test.num_children);
     switch (nd.test.kind) {
       case SplitTest::Kind::Threshold:
-        out += ",\"threshold\":" + double_exact(nd.test.threshold);
-        out += ",\"slot\":" + std::to_string(nd.test.slot_threshold);
+        out += ",\"threshold\":";
+        out += double_exact(nd.test.threshold);
+        out += ",\"slot\":";
+        append_int(out, nd.test.slot_threshold);
         break;
       case SplitTest::Kind::OrderedSlot:
-        out += ",\"slot\":" + std::to_string(nd.test.slot_threshold);
+        out += ",\"slot\":";
+        append_int(out, nd.test.slot_threshold);
         break;
       case SplitTest::Kind::Subset: {
         out += ",\"in_left\":[";
         for (std::size_t v = 0; v < nd.test.in_left.size(); ++v) {
-          if (v != 0) out += ",";
-          out += nd.test.in_left[v] ? "1" : "0";
+          if (v != 0) out += ',';
+          out += nd.test.in_left[v] ? '1' : '0';
         }
-        out += "]";
+        out += ']';
         break;
       }
       case SplitTest::Kind::Multiway:
@@ -109,7 +128,7 @@ void append_node(std::string& out, const Node& nd, int canon_id,
         break;
     }
   }
-  out += "}";
+  out += '}';
 }
 
 }  // namespace
@@ -142,8 +161,9 @@ std::string canonical_nodes_json(const Tree& tree) {
   // enqueued contiguously, so child canonical ids are consecutive and the
   // next unassigned id advances exactly like Tree::expand()'s arena.
   std::string out = "[";
+  out.reserve(order.size() * 96);  // ~70 bytes for a two-class node
   for (std::size_t k = 0; k < order.size(); ++k) {
-    if (k != 0) out += ",";
+    if (k != 0) out += ',';
     const Node& nd = tree.node(order[k]);
     const int canon_parent =
         nd.parent < 0 ? -1 : canon_of[static_cast<std::size_t>(nd.parent)];
@@ -152,7 +172,7 @@ std::string canonical_nodes_json(const Tree& tree) {
                      : canon_of[static_cast<std::size_t>(nd.first_child)];
     append_node(out, nd, static_cast<int>(k), canon_parent, canon_first);
   }
-  out += "]";
+  out += ']';
   return out;
 }
 

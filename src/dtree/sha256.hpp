@@ -4,7 +4,9 @@
 // the digest must be stable across platforms and toolchains and must not
 // pull in an external crypto dependency. This is the plain single-shot
 // byte-oriented implementation — model payloads are a few hundred KB at
-// most, so streaming is unnecessary.
+// most, so streaming is unnecessary. On x86 CPUs with the SHA extensions
+// the block compression runs on them (picked once by CPUID); everywhere
+// else it runs the portable C++ rounds. Both give the same bytes.
 #pragma once
 
 #include <array>
@@ -20,5 +22,13 @@ namespace pdt::dtree {
 /// Lowercase hex rendering of sha256(data) — the digest format every
 /// pdt-model-v1 document and gate uses.
 [[nodiscard]] std::string sha256_hex(std::string_view data);
+
+/// sha256() through the portable compression rounds whatever the CPU
+/// offers — the reference the tests hold the dispatched path to.
+[[nodiscard]] std::array<std::uint8_t, 32> sha256_portable(
+    std::string_view data);
+
+/// True when sha256() runs on the x86 SHA extensions on this CPU.
+[[nodiscard]] bool sha256_uses_sha_ni();
 
 }  // namespace pdt::dtree

@@ -9,7 +9,6 @@
 #include "data/quest.hpp"
 #include "dtree/builder.hpp"
 #include "dtree/metrics.hpp"
-#include "dtree/sha256.hpp"
 
 namespace pdt::dtree {
 namespace {
@@ -44,19 +43,6 @@ std::vector<NodeSpec> specs_of(const Tree& t) {
     specs.push_back(std::move(s));
   }
   return specs;
-}
-
-TEST(Sha256, Fips180Vectors) {
-  EXPECT_EQ(sha256_hex(""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(sha256_hex("abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(sha256_hex("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnop"
-                       "nopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-  // Tail spanning two final blocks (len 56..63 needs a second pad block).
-  EXPECT_EQ(sha256_hex(std::string(56, 'a')),
-            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
 }
 
 TEST(Serialize, UnprunedBfsTreeKeepsArenaIds) {
