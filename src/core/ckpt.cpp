@@ -486,17 +486,6 @@ bool CheckpointStore::commit(int epoch, const std::string& text,
     f.stream().write(text.data(), static_cast<std::streamsize>(text.size()));
     if (!f.commit()) return false;
   }
-  {
-    // Best effort: the manifest is a convenience pointer, not the source
-    // of truth — load_latest globs and validates the epoch files.
-    obs::AtomicFile mf(dir_ + "/MANIFEST");
-    if (mf.ok()) {
-      mf.stream() << "pdt-ckpt-manifest-v1\n"
-                  << "latest " << epoch << "\n"
-                  << "file " << epoch_file(epoch) << "\n";
-      (void)mf.commit();
-    }
-  }
   const std::vector<int> epochs = list_epochs();
   if (static_cast<int>(epochs.size()) > keep_) {
     for (std::size_t i = 0; i + static_cast<std::size_t>(keep_) < epochs.size();

@@ -84,10 +84,10 @@ struct RunSnapshot {
 /// return as "this epoch is corrupt, skip back".
 [[nodiscard]] std::string parse_ckpt(std::string_view text, RunSnapshot* out);
 
-/// The on-disk epoch store: `<dir>/ckpt-<epoch>.pdt` files plus a
-/// MANIFEST naming the newest commit. The manifest is written for
-/// humans and tools; the loader never trusts it — it globs the epoch
-/// files and validates their content directly.
+/// The on-disk epoch store: `<dir>/ckpt-<epoch>.pdt` files and nothing
+/// else. The loader globs the epoch files and validates their content
+/// directly; any other file in the directory (such as a MANIFEST left by
+/// an older build) is ignored.
 class CheckpointStore {
  public:
   /// `dir` must already exist (empty disables the store); `keep` newest
@@ -100,8 +100,8 @@ class CheckpointStore {
   /// when the directory holds no epoch files.
   [[nodiscard]] int latest_epoch() const;
 
-  /// Write snap's epoch file atomically, refresh the MANIFEST, prune
-  /// old epochs. `bytes_out` (optional) receives the committed size.
+  /// Write snap's epoch file atomically, then prune old epochs.
+  /// `bytes_out` (optional) receives the committed size.
   [[nodiscard]] bool save(const RunSnapshot& snap,
                           std::int64_t* bytes_out = nullptr);
 

@@ -1,15 +1,16 @@
 // Crash-safe JSON artifact writing: temp file + atomic rename.
 //
 // Every JSON artifact the harnesses emit is consumed downstream by the
-// CI gates (pdt-diff, pdt-replay --check, pdt-report double-render). A
-// harness killed mid-write used to leave a truncated file at the final
-// path, turning the next gate run into a JSON parse error instead of a
-// real verdict. AtomicFile writes to `<path>.tmp<pid>.<n>` (n = a
-// process-wide writer counter, so concurrent threads never share a
-// temp) and renames onto `<path>` only on commit(), so the final path
-// either holds the complete previous artifact or the complete new one —
-// never a torn write. Two threads racing the same path each commit a
-// complete file; the last rename wins.
+// CI gates (pdt-trend check, pdt-replay --check, pdt-report
+// double-render). A harness killed mid-write used to leave a truncated
+// file at the final path, turning the next gate run into a JSON parse
+// error instead of a real verdict. AtomicFile writes to
+// `<path>.tmp<pid>.<n>` (n = a process-wide writer counter, so
+// concurrent threads never share a temp) and renames onto `<path>` only
+// on commit(), so the final path either holds the complete previous
+// artifact or the complete new one — never a torn write. Two threads
+// racing the same path each commit a complete file; the last rename
+// wins.
 #pragma once
 
 #include <fstream>

@@ -496,8 +496,8 @@ TEST(CheckpointStore, ManifestIsAdvisoryOnly) {
   RunSnapshot snap = sample_snapshot();
   snap.epoch = 0;
   ASSERT_TRUE(store.save(snap));
-  // Point the manifest at an epoch that does not exist: the loader must
-  // glob the real files and ignore the lie entirely.
+  // A stale MANIFEST from an older build points at an epoch that does
+  // not exist: the loader must glob the real files and ignore it.
   spit(dir / "MANIFEST",
        "pdt-ckpt-manifest-v1\nlatest 99\nfile ckpt-99.pdt\n");
   RunSnapshot out;

@@ -91,7 +91,7 @@ TEST(JsonValue, RejectsOverDeepNesting) {
 }
 
 // Malformed-corpus coverage for the hardened reader: the files pdt-report
-// and pdt-diff ingest come from interrupted bench runs and hand edits, so
+// and pdt-trend read come from interrupted bench runs and hand edits, so
 // truncation, IEEE-special literals, overflowing numbers, and duplicate
 // keys must all fail loudly with a byte offset — never parse to garbage.
 

@@ -20,6 +20,7 @@
 #include "mpsim/event_log.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/machine.hpp"
+#include "obs/blame.hpp"
 #include "obs/export.hpp"
 #include "obs/observability.hpp"
 
@@ -101,6 +102,45 @@ TEST(ReplayFaultTest, IdentityHoldsThroughFailureDetectionAndRecovery) {
               log.recorded_clocks[static_cast<std::size_t>(rank)]);
   }
   EXPECT_EQ(r.max_clock, res.parallel_time);
+}
+
+// The in-process blame walk (obs::blame_edges) and the offline one inside
+// the identity replay follow the same clocks, so they must agree edge for
+// edge — including through transient-fault retries, where every member
+// waits out a backed-off detection window blamed on the faulty rank.
+TEST(ReplayBlameTest, InProcessEdgesMatchIdentityReplayThroughRetries) {
+  mpsim::FaultPlan plan;
+  plan.transient_timeout(/*rank=*/1, /*level=*/0, /*count=*/2);
+  plan.corrupt_link(/*a=*/0, /*b=*/3, /*level=*/1, /*count=*/1);
+  core::ParOptions opt;
+  opt.num_procs = 4;
+  opt.fault = &plan;
+  obs::Observability o;
+  o.enable_event_log();
+  opt.obs = &o;
+  const core::ParResult res =
+      core::build(core::Formulation::Hybrid, workload(2000), opt);
+  ASSERT_GT(res.recovery.retries, 0u);
+
+  const std::vector<obs::BlameEdge> in_process =
+      obs::blame_edges(*o.event_log());
+  const EventLog log = round_trip(*o.event_log());
+  const ReplayResult r = replay_log(log, log.cost, /*with_blame=*/true);
+  ASSERT_EQ(in_process.size(), r.blame.size());
+  bool saw_retry_blame = false;
+  for (std::size_t i = 0; i < r.blame.size(); ++i) {
+    const obs::BlameEdge& a = in_process[i];
+    const ReplayBlameEdge& b = r.blame[i];
+    EXPECT_EQ(a.idler, b.idler) << "edge " << i;
+    EXPECT_EQ(a.idler_level, b.idler_level) << "edge " << i;
+    EXPECT_EQ(a.holder, b.holder) << "edge " << i;
+    EXPECT_EQ(a.holder_phase, b.holder_phase) << "edge " << i;
+    EXPECT_EQ(a.idle_us, b.idle_us) << "edge " << i;
+    EXPECT_EQ(a.idle_pct, b.idle_pct) << "edge " << i;
+    saw_retry_blame =
+        saw_retry_blame || a.holder_phase == obs::kRankFailurePhase;
+  }
+  EXPECT_TRUE(saw_retry_blame) << "retries must blame the faulty rank";
 }
 
 TEST(ReplayWhatIfTest, DoublingEveryConstantDoublesEveryClock) {

@@ -1,5 +1,6 @@
-// pdt-trend: the pdt-runs-v1 registry, the changepoint gate against the
-// trailing window, and the (phase, level) regression explanation.
+// pdt-trend: tuple extraction, the pdt-runs-v1 registry, the changepoint
+// gate against the trailing window (with --window 1, the committed
+// baseline gate), and the (phase, level) regression explanation.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -55,6 +56,91 @@ RunRecord record(std::int64_t seq, double time_us, double build_ns,
   rec.seq = seq;
   rec.timestamp = "2026-08-0" + std::to_string(seq) + "T00:00:00Z";
   return rec;
+}
+
+const char* kBench = R"({
+  "schema": "pdt-bench-v1",
+  "harness": "fig6_speedup",
+  "scale": 0.005,
+  "sections": [
+    {"type": "speedup_series", "workload": "0.8M", "formulation": "hybrid",
+     "points": [
+       {"procs": 1, "time_us": 1000.0, "speedup": 1.0, "efficiency": 1.0},
+       {"procs": 2, "time_us": 600.0, "speedup": 1.6667, "efficiency": 0.8333},
+       {"procs": 4, "time_us": 400.0, "speedup": 2.5, "efficiency": 0.625}
+     ]},
+    {"type": "mem_scaling", "workload": "0.8M", "formulation": "hybrid",
+     "points": []}
+  ]
+})";
+
+TEST(TrendRecord, ExtractsEverySpeedupPoint) {
+  const std::vector<ReportInput> inputs{parse("bench.json", kBench)};
+  const std::vector<DiffEntry> all = extract_entries(inputs);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].harness, "fig6_speedup");
+  EXPECT_EQ(all[0].workload, "0.8M");
+  EXPECT_EQ(all[0].formulation, "hybrid");
+  EXPECT_EQ(all[1].procs, 2);
+  EXPECT_DOUBLE_EQ(all[1].time_us, 600.0);
+  EXPECT_DOUBLE_EQ(all[2].speedup, 2.5);
+  EXPECT_DOUBLE_EQ(all[2].efficiency, 0.625);
+}
+
+TEST(TrendRecord, IgnoresNonBenchInputs) {
+  const std::vector<ReportInput> inputs{
+      parse("mem.json", R"({"schema": "pdt-mem-v1", "num_ranks": 2})")};
+  EXPECT_TRUE(extract_entries(inputs).empty());
+  EXPECT_TRUE(extract_host_entries(inputs).empty());
+}
+
+// One bench envelope carrying one repeat's host measurement.
+std::string host_bench(double total_ns) {
+  std::ostringstream os;
+  os << R"({"schema": "pdt-bench-v1", "harness": "fig6_speedup",
+            "sections": [{"type": "instrumented_run", "tag": "hybrid.P8",
+            "formulation": "hybrid", "procs": 8,
+            "host": {"schema": "pdt-host-v1", "total_ns": )"
+     << total_ns << "}}]}";
+  return os.str();
+}
+
+std::vector<ReportInput> host_repeats(const std::vector<double>& repeats) {
+  std::vector<ReportInput> inputs;
+  for (std::size_t i = 0; i < repeats.size(); ++i) {
+    inputs.push_back(
+        parse("r" + std::to_string(i) + ".json", host_bench(repeats[i])));
+  }
+  return inputs;
+}
+
+TEST(TrendRecord, HostRepeatsCollapseToMedianAndMad) {
+  // median(100, 120, 90) = 100; deviations {0, 20, 10} -> MAD = 10.
+  const std::vector<HostEntry> entries =
+      extract_host_entries(host_repeats({100e6, 120e6, 90e6}));
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].harness, "fig6_speedup");
+  EXPECT_EQ(entries[0].tag, "hybrid.P8");
+  EXPECT_EQ(entries[0].formulation, "hybrid");
+  EXPECT_EQ(entries[0].procs, 8);
+  EXPECT_EQ(entries[0].k, 3);
+  EXPECT_DOUBLE_EQ(entries[0].median_ns, 100e6);
+  EXPECT_DOUBLE_EQ(entries[0].mad_ns, 10e6);
+
+  // Even k: median is the average of the middle pair.
+  const std::vector<HostEntry> even =
+      extract_host_entries(host_repeats({100e6, 120e6}));
+  ASSERT_EQ(even.size(), 1u);
+  EXPECT_DOUBLE_EQ(even[0].median_ns, 110e6);
+  EXPECT_EQ(even[0].k, 2);
+}
+
+TEST(TrendRecord, EnvelopesWithoutHostSectionsYieldNoHostTuples) {
+  const std::vector<ReportInput> inputs{parse("bench.json", kBench)};
+  EXPECT_TRUE(extract_host_entries(inputs).empty());
+  const RunRecord rec = record_from_envelopes(inputs);
+  EXPECT_EQ(rec.virt.size(), 3u);
+  EXPECT_TRUE(rec.host.empty());
 }
 
 TEST(TrendRecord, FoldsRepeatsIntoOneRecordWithCellsAndFingerprint) {
@@ -122,30 +208,77 @@ TEST(TrendRegistry, RejectsMalformedLinesWithLineNumbers) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(TrendIngest, FoldsCommittedBaselinesAndRejectsUnknownSchemas) {
+// The registry is the only baseline store: a committed tuple must come
+// back bit-exact, and a malformed one must be rejected, not gated against.
+
+TEST(TrendRegistry, VirtualBaselineTuplesRoundTripBitExact) {
   RunRecord rec;
+  rec.seq = 1;
+  rec.virt = extract_entries({parse("bench.json", kBench)});
+  rec.virt[1].speedup = 1000.0 / 600.0;  // no short decimal form
+  rec.virt[1].efficiency = rec.virt[1].speedup / 2.0;
+
+  std::vector<RunRecord> back;
   std::string error;
-  const ReportInput virt = parse("v.json", R"({
-    "schema": "pdt-diff-baseline-v1",
-    "entries": [{"harness": "fig6_speedup", "workload": "0.8M",
-                 "formulation": "hybrid", "procs": 8, "time_us": 1000.0,
-                 "speedup": 4.0, "efficiency": 0.5}]})");
-  ASSERT_TRUE(record_from_artifact(virt, &rec, &error)) << error;
-  ASSERT_EQ(rec.virt.size(), 1u);
-  EXPECT_TRUE(rec.host.empty());
+  ASSERT_TRUE(parse_registry(record_line(rec), &back, &error)) << error;
+  ASSERT_EQ(back.size(), 1u);
+  ASSERT_EQ(back[0].virt.size(), rec.virt.size());
+  for (std::size_t i = 0; i < rec.virt.size(); ++i) {
+    EXPECT_EQ(back[0].virt[i].harness, rec.virt[i].harness);
+    EXPECT_EQ(back[0].virt[i].workload, rec.virt[i].workload);
+    EXPECT_EQ(back[0].virt[i].formulation, rec.virt[i].formulation);
+    EXPECT_EQ(back[0].virt[i].procs, rec.virt[i].procs);
+    EXPECT_EQ(back[0].virt[i].time_us, rec.virt[i].time_us) << "bit-exact";
+    EXPECT_EQ(back[0].virt[i].speedup, rec.virt[i].speedup);
+    EXPECT_EQ(back[0].virt[i].efficiency, rec.virt[i].efficiency);
+  }
+}
 
-  const ReportInput host = parse("h.json", R"({
-    "schema": "pdt-host-baseline-v1",
-    "entries": [{"harness": "fig6_speedup", "tag": "hybrid.P8",
-                 "formulation": "hybrid", "procs": 8, "k": 3,
-                 "median_ns": 100000000.0, "mad_ns": 1000000.0}]})");
-  ASSERT_TRUE(record_from_artifact(host, &rec, &error)) << error;
+TEST(TrendRegistry, HostBaselineMedianAndMadRoundTripBitExact) {
+  RunRecord rec;
+  rec.seq = 1;
+  for (const HostEntry& e :
+       extract_host_entries(host_repeats({100e6 / 3.0, 120e6, 90e6}))) {
+    rec.host.push_back(TrendHostTuple{e, {}});
+  }
   ASSERT_EQ(rec.host.size(), 1u);
-  EXPECT_TRUE(rec.host[0].cells.empty()) << "baselines carry no cells";
 
-  const ReportInput bad = parse("m.json", R"({"schema": "pdt-mem-v1"})");
-  EXPECT_FALSE(record_from_artifact(bad, &rec, &error));
-  EXPECT_NE(error.find("pdt-mem-v1"), std::string::npos);
+  std::vector<RunRecord> back;
+  std::string error;
+  ASSERT_TRUE(parse_registry(record_line(rec), &back, &error)) << error;
+  ASSERT_EQ(back.size(), 1u);
+  ASSERT_EQ(back[0].host.size(), 1u);
+  const HostEntry& got = back[0].host[0].entry;
+  const HostEntry& want = rec.host[0].entry;
+  EXPECT_EQ(got.tag, want.tag);
+  EXPECT_EQ(got.formulation, want.formulation);
+  EXPECT_EQ(got.procs, want.procs);
+  EXPECT_EQ(got.k, want.k);
+  EXPECT_EQ(got.median_ns, want.median_ns) << "bit-exact";
+  EXPECT_EQ(got.mad_ns, want.mad_ns);
+  EXPECT_TRUE(back[0].host[0].cells.empty());
+}
+
+TEST(TrendRegistry, RejectsWrongSchemaAndMalformedBaselineTuples) {
+  std::vector<RunRecord> out;
+  std::string error;
+  EXPECT_FALSE(parse_registry(
+      R"({"schema": "pdt-diff-baseline-v1", "entries": []})", &out, &error));
+  EXPECT_NE(error.find("pdt-runs-v1"), std::string::npos);
+
+  EXPECT_FALSE(parse_registry(
+      R"({"schema": "pdt-runs-v1", "seq": 1, "virtual": [{"harness": "", )"
+      R"("procs": 4}]})",
+      &out, &error));
+  EXPECT_NE(error.find("virtual tuple missing harness or procs"),
+            std::string::npos);
+
+  EXPECT_FALSE(parse_registry(
+      R"({"schema": "pdt-runs-v1", "seq": 1, "host": [{"harness": )"
+      R"("fig6_speedup", "tag": "hybrid.P8", "procs": 8}]})",
+      &out, &error));
+  EXPECT_NE(error.find("host tuple missing harness/procs/median_ns"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------- check --
@@ -167,7 +300,7 @@ TEST(TrendCheck, JitteryButFlatRegistryPasses) {
   std::ostringstream os;
   std::string doc;
   EXPECT_EQ(run_trend_check(runs, TrendOptions{}, os, &doc), 0);
-  EXPECT_NE(os.str().find("OK: 0 tuples regressed"), std::string::npos);
+  EXPECT_NE(os.str().find("OK: 0 tuples failed"), std::string::npos);
   EXPECT_NE(doc.find("\"schema\": \"pdt-trend-v1\""), std::string::npos);
   EXPECT_NE(doc.find("\"verdict\": \"ok\""), std::string::npos);
   EXPECT_EQ(doc.find("REGRESSION"), std::string::npos);
@@ -185,8 +318,7 @@ TEST(TrendCheck, InjectedStepRegressionFailsAndExplainNamesTheCell) {
   EXPECT_EQ(run_trend_check(runs, TrendOptions{}, os, &doc), 1);
   EXPECT_NE(os.str().find("FAIL    [host] fig6_speedup hybrid.P8"),
             std::string::npos);
-  EXPECT_NE(os.str().find("REGRESSION: 1 tuple regressed"),
-            std::string::npos);
+  EXPECT_NE(os.str().find("REGRESSION: 1 tuple failed"), std::string::npos);
   // The pdt-trend-v1 doc carries the changepoint and the explain summary
   // blaming the comm L1 cell.
   EXPECT_NE(doc.find("\"verdict\": \"REGRESSION\""), std::string::npos);
@@ -215,12 +347,16 @@ TEST(TrendCheck, InjectedStepRegressionFailsAndExplainNamesTheCell) {
 }
 
 TEST(TrendCheck, ImprovementIsAChangepointButNotAFailure) {
+  // Host series only: the virtual tuple stays flat, the host time drops.
   std::vector<RunRecord> runs = flat_registry(5);
   runs.push_back(record(6, 1000.0, 20e6, 5e6));  // 4x faster
   std::ostringstream os;
   std::string doc;
   EXPECT_EQ(run_trend_check(runs, TrendOptions{}, os, &doc), 0);
-  EXPECT_NE(os.str().find("IMPROVED"), std::string::npos);
+  EXPECT_NE(os.str().find("IMPROVED[host] fig6_speedup hybrid.P8"),
+            std::string::npos)
+      << os.str();
+  EXPECT_NE(os.str().find("ok      [virt]"), std::string::npos);
   EXPECT_NE(doc.find("\"verdict\": \"IMPROVED\""), std::string::npos);
 }
 
@@ -237,16 +373,142 @@ TEST(TrendCheck, VirtualDriftPastVtolFails) {
   EXPECT_EQ(run_trend_check(runs, loose, os2, nullptr), 0);
 }
 
+/// A record holding only the given virtual tuples.
+RunRecord virt_record(std::int64_t seq, std::vector<DiffEntry> virt) {
+  RunRecord rec;
+  rec.seq = seq;
+  rec.virt = std::move(virt);
+  return rec;
+}
+
+TEST(TrendCheck, VirtualDriftOnAnyFieldInEitherDirectionFails) {
+  const std::vector<DiffEntry> base =
+      extract_entries({parse("bench.json", kBench)});
+  TrendOptions opt;
+  opt.window = 1;  // the committed-baseline gate
+
+  // Identical results pass, and every line proves the zero drift.
+  {
+    std::ostringstream os;
+    EXPECT_EQ(run_trend_check({virt_record(1, base), virt_record(2, base)},
+                              opt, os, nullptr),
+              0);
+    EXPECT_NE(os.str().find("OK: 0 tuples failed"), std::string::npos);
+    EXPECT_NE(os.str().find("ok      [virt] fig6_speedup 0.8M hybrid P=4 — "
+                            "time 400.0 -> 400.0 us (+0.0000%), speedup "
+                            "2.500 -> 2.500 (+0.0000%), efficiency 0.625 -> "
+                            "0.625 (+0.0000%)"),
+              std::string::npos)
+        << os.str();
+  }
+
+  // ±3% on any one of the three fields fails at the CI's 2%.
+  for (const double scale : {1.03, 0.97}) {
+    for (int field = 0; field < 3; ++field) {
+      std::vector<DiffEntry> cur = base;
+      double& v = field == 0   ? cur[2].time_us
+                  : field == 1 ? cur[2].speedup
+                               : cur[2].efficiency;
+      v *= scale;
+      std::ostringstream os;
+      EXPECT_EQ(run_trend_check({virt_record(1, base), virt_record(2, cur)},
+                                opt, os, nullptr),
+                1)
+          << "field " << field << " x" << scale << "\n"
+          << os.str();
+      EXPECT_NE(os.str().find("FAIL    [virt] fig6_speedup 0.8M hybrid P=4"),
+                std::string::npos);
+    }
+  }
+
+  // 1% on time_us is inside 2% but outside a 0.5% tolerance.
+  std::vector<DiffEntry> cur = base;
+  cur[2].time_us *= 1.01;
+  std::ostringstream ok;
+  EXPECT_EQ(run_trend_check({virt_record(1, base), virt_record(2, cur)}, opt,
+                            ok, nullptr),
+            0);
+  opt.vtol = 0.005;
+  std::ostringstream bad;
+  EXPECT_EQ(run_trend_check({virt_record(1, base), virt_record(2, cur)}, opt,
+                            bad, nullptr),
+            1);
+}
+
+TEST(TrendCheck, MissingTupleFailsWhenItsHarnessRan) {
+  const std::vector<DiffEntry> base =
+      extract_entries({parse("bench.json", kBench)});
+  std::vector<DiffEntry> cur = base;
+  cur.pop_back();
+  std::ostringstream os;
+  std::string doc;
+  EXPECT_EQ(run_trend_check({virt_record(1, base), virt_record(2, cur)},
+                            TrendOptions{}, os, &doc),
+            1);
+  EXPECT_NE(os.str().find("FAIL    [virt] fig6_speedup 0.8M hybrid P=4 — "
+                          "absent from latest run"),
+            std::string::npos)
+      << os.str();
+  EXPECT_NE(doc.find("\"verdict\": \"MISSING\""), std::string::npos);
+}
+
+TEST(TrendCheck, MissingHostTupleFailsWhenItsHarnessRan) {
+  // The latest run measured fig6_speedup's hybrid.P8 but not sync.P8.
+  RunRecord base = record(1, 1000.0, 80e6, 20e6);
+  TrendHostTuple sync = base.host[0];
+  sync.entry.tag = "sync.P8";
+  sync.entry.formulation = "synchronous";
+  base.host.push_back(sync);
+  std::vector<RunRecord> runs{base, record(2, 1000.0, 80e6, 20e6)};
+  std::ostringstream os;
+  EXPECT_EQ(run_trend_check(runs, TrendOptions{}, os, nullptr), 1);
+  EXPECT_NE(os.str().find("FAIL    [host] fig6_speedup sync.P8 synchronous "
+                          "P=8 — absent from latest run"),
+            std::string::npos)
+      << os.str();
+}
+
+TEST(TrendCheck, MadBandForgivesJitterThatPlainTolWouldCatch) {
+  // Window median 100ms; current median 160ms with MAD 10ms.
+  const auto host_record = [](std::int64_t seq, std::vector<double> reps) {
+    RunRecord rec = record_from_envelopes(host_repeats(reps));
+    rec.seq = seq;
+    return rec;
+  };
+  const std::vector<RunRecord> runs{host_record(1, {100e6, 120e6, 90e6}),
+                                    host_record(2, {160e6, 170e6, 150e6})};
+
+  // 60% slower: past any sane relative tolerance alone...
+  TrendOptions strict;
+  strict.tol = 0.1;
+  strict.mad_k = 0.0;
+  std::ostringstream os1;
+  EXPECT_EQ(run_trend_check(runs, strict, os1, nullptr), 1);
+  EXPECT_NE(os1.str().find("FAIL    [host]"), std::string::npos);
+
+  // ...but inside the measured jitter band:
+  // 5 * 1.4826 * (0 + 10ms) = 74.13ms >= 60ms.
+  TrendOptions noisy;
+  noisy.tol = 0.0;
+  noisy.mad_k = 5.0;
+  std::ostringstream os2;
+  EXPECT_EQ(run_trend_check(runs, noisy, os2, nullptr), 0);
+  EXPECT_NE(os2.str().find("OK: 0 tuples failed"), std::string::npos);
+}
+
 TEST(TrendCheck, TupleMissingFromLatestRunWarnsButPasses) {
+  // The latest run is another harness only: fig6_speedup did not run, so
+  // its absent tuples warn instead of failing.
   std::vector<RunRecord> runs = flat_registry(3);
-  RunRecord narrow;  // a narrowed harness run: virtual tuple only
-  narrow.seq = 4;
-  narrow.virt = runs[0].virt;
-  runs.push_back(std::move(narrow));
+  DiffEntry other = runs[0].virt[0];
+  other.harness = "fig8_hybrid_speedup";
+  runs.push_back(virt_record(4, {other}));
   std::ostringstream os;
   EXPECT_EQ(run_trend_check(runs, TrendOptions{}, os, nullptr), 0);
-  EXPECT_NE(os.str().find("MISSING [host]"), std::string::npos);
+  EXPECT_NE(os.str().find("MISSING [virt] fig6_speedup"), std::string::npos);
+  EXPECT_NE(os.str().find("MISSING [host] fig6_speedup"), std::string::npos);
   EXPECT_NE(os.str().find("warning"), std::string::npos);
+  EXPECT_EQ(os.str().find("FAIL"), std::string::npos) << os.str();
 }
 
 TEST(TrendCheck, FewerThanTwoRunsIsVacuouslyOk) {

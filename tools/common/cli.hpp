@@ -1,5 +1,5 @@
 // Shared command-line plumbing for the offline tools (pdt-report,
-// pdt-diff, pdt-replay, pdt-trend): one exit-code convention, uniform
+// pdt-replay, pdt-trend, pdt-tree): one exit-code convention, uniform
 // --help/--version handling, and the hardened load-and-parse step every
 // tool performs on its JSON inputs.
 //
@@ -22,7 +22,7 @@ inline constexpr int kExitFail = 1;
 inline constexpr int kExitUsage = 2;
 
 /// One version string for the whole tool suite, bumped with the schemas.
-inline constexpr const char* kToolsVersion = "0.11.0";
+inline constexpr const char* kToolsVersion = "0.12.0";
 
 struct CliSpec {
   const char* tool;   ///< binary name, e.g. "pdt-report"

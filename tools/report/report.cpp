@@ -1010,13 +1010,15 @@ void render_trend(const ReportInput& in, std::ostream& os) {
                       : fmt(t.get("band").as_double(), 1) + " us") +
              ")";
       }
+      // Upper-case verdicts (REGRESSION, MISSING) failed the gate.
       const std::string& verdict = t.get("verdict").as_string();
+      const bool failed = verdict == "REGRESSION" || verdict == "MISSING";
       os << "| " << t.get("name").as_string() << " | "
          << t.get("kind").as_string() << " | " << sparkline(values)
          << (marks.empty() ? "" : " " + marks) << " | "
          << (is_host ? fmt(latest / 1e6, 3) + " ms" : fmt(latest, 1) + " us")
          << " | " << vs << " | "
-         << (verdict == "REGRESSION" ? "**REGRESSION**" : verdict) << " |\n";
+         << (failed ? "**" : "") << verdict << (failed ? "**" : "") << " |\n";
     }
     os << "\n";
 

@@ -76,7 +76,7 @@ int run_eval(const ModelDoc& m, std::ostream& os);
 /// `pdt-tree ckpt`: inspect/verify pdt-ckpt-v1 durable checkpoints.
 /// `path` is one epoch file (detailed dump) or a checkpoint directory
 /// (every epoch validated through core::parse_ckpt — the resume path's
-/// own parser — plus the advisory MANIFEST). Returns kExitOk only when
+/// own parser). Returns kExitOk only when
 /// everything inspected would be accepted by a crash-restart resume.
 int run_ckpt(const std::string& path, std::ostream& os);
 

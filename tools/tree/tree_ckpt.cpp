@@ -3,9 +3,8 @@
 // Points at either one epoch file or a checkpoint directory. Every file
 // is validated through core::parse_ckpt — the same parser the resume
 // path uses — so "pdt-tree ckpt says ok" and "a crash-restart will
-// accept this epoch" are the same statement. The MANIFEST is shown for
-// orientation but, like the loader, never trusted: the verdict comes
-// from the epoch files themselves.
+// accept this epoch" are the same statement. Like the loader, it looks
+// only at the epoch files: the verdict comes from them alone.
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
@@ -128,14 +127,6 @@ int inspect_dir(const fs::path& dir, std::ostream& os) {
               return epoch_of(a) < epoch_of(b);
             });
 
-  std::string manifest;
-  if (read_file(dir / "MANIFEST", &manifest)) {
-    os << "MANIFEST (advisory, never trusted by the loader):\n";
-    std::istringstream ms(manifest);
-    for (std::string line; std::getline(ms, line);) {
-      os << "  " << line << "\n";
-    }
-  }
   if (epochs.empty()) {
     os << dir.string() << ": no ckpt-<epoch>.pdt files\n";
     return kExitFail;

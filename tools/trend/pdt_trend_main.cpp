@@ -1,21 +1,19 @@
 // pdt-trend — cross-run performance history over the pdt-runs-v1
-// registry (bench/history/runs.jsonl by default).
+// registry (bench/history/runs.jsonl by default), and the suite's one
+// perf-regression gate.
 //
 //   pdt-trend append  [opts] <bench.json>...   fold one run's envelopes
 //                                              (repeats + optional replay
 //                                              reports) into ONE record
-//   pdt-trend ingest  [opts] <artifact>...     one record PER artifact
-//                                              (envelope or committed
-//                                              pdt-diff/host baseline)
 //   pdt-trend list    [opts]                   show the registry
 //   pdt-trend check   [opts]                   changepoint/drift gate
 //   pdt-trend explain [opts]                   attribute a moved tuple
 //
 // The tool never reads a clock: timestamps enter via --stamp, so every
 // output is a pure function of the inputs (the suite's determinism
-// contract). The registry is "append-only" in spirit — append/ingest
-// rewrite the whole file atomically with the new records at the end, so
-// a crash never leaves a torn line.
+// contract). The registry is "append-only" in spirit — append rewrites
+// the whole file atomically with the new record at the end, so a crash
+// never leaves a torn line.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -33,8 +31,6 @@ constexpr pdt::tools::CliSpec kSpec = {
     "pdt-trend",
     "usage: pdt-trend append  [--registry F] [--stamp TS] [--label L] "
     "<bench.json>...\n"
-    "       pdt-trend ingest  [--registry F] [--stamp TS] [--label L] "
-    "<artifact.json>...\n"
     "       pdt-trend list    [--registry F]\n"
     "       pdt-trend check   [--registry F] [--window N] [--tol T]\n"
     "                         [--mad-k K] [--vtol T] [--top N] [-o out.json]\n"
@@ -47,16 +43,18 @@ constexpr pdt::tools::CliSpec kSpec = {
     "append folds all inputs into one record: virtual tuples from their\n"
     "speedup_series, host tuples collapsed to median-of-k + MAD across\n"
     "the inputs (one envelope per repeat) with per-(phase, level) cells,\n"
-    "blame edges from pdt-replay-v1 inputs. ingest makes one record per\n"
-    "input instead (bootstrap from committed baselines).\n"
+    "blame edges from pdt-replay-v1 inputs.\n"
     "\n"
     "check gates the latest record against the trailing window of each\n"
-    "tuple's history. Host tuples use the pdt-diff --host band\n"
+    "tuple's history; --window 1 gates against the newest earlier\n"
+    "record, i.e. the committed baseline. Virtual tuples fail when\n"
+    "time_us, speedup or efficiency drifts past --vtol in either\n"
+    "direction. Host tuples use the noise band\n"
     "  band = max(tol * win_median, mad_k * 1.4826 * (win_mad + cur_mad))\n"
-    "(see `pdt-diff --host --help` / DESIGN.md section 9); virtual\n"
-    "tuples use the plain relative tolerance --vtol. Slower past the\n"
-    "band = regression (exit 1); faster = improvement (reported, exit\n"
-    "0); a tuple absent from the latest run is a warning, not a\n"
+    "(DESIGN.md section 9): slower past the band = regression, faster =\n"
+    "improvement (reported, exit 0). A tuple absent from the latest run\n"
+    "fails when that run holds other tuples of the same kind from its\n"
+    "harness, and only warns when the harness did not run. Exit 1 on any\n"
     "failure. With -o, writes a pdt-trend-v1 report (series,\n"
     "changepoints, explain summaries) for pdt-report.\n"
     "\n"
@@ -105,7 +103,7 @@ int main(int argc, char** argv) {
     int code = kExitOk;
     if (standard_flag(kSpec, cmd, &code)) return code;
   }
-  if (cmd != "append" && cmd != "ingest" && cmd != "list" && cmd != "check" &&
+  if (cmd != "append" && cmd != "list" && cmd != "check" &&
       cmd != "explain") {
     std::fprintf(stderr, "pdt-trend: unknown command '%.*s'\n",
                  static_cast<int>(cmd.size()), cmd.data());
@@ -164,11 +162,15 @@ int main(int argc, char** argv) {
       files.emplace_back(arg);
     }
   }
+  // Only append takes input files; a stray file name elsewhere (say
+  // `check gate.jsonl` for `check --registry gate.jsonl`) would
+  // otherwise be ignored and the default registry gated instead.
+  if (cmd != "append" && !files.empty()) return usage(kSpec);
 
   std::vector<RunRecord> runs;
   if (!load_registry(registry_path, &runs)) return kExitUsage;
 
-  if (cmd == "append" || cmd == "ingest") {
+  if (cmd == "append") {
     if (files.empty()) return usage(kSpec);
     std::vector<ReportInput> inputs;
     for (const std::string& path : files) {
@@ -177,43 +179,23 @@ int main(int argc, char** argv) {
       if (!load_json_file(kSpec, path, &in.root)) return kExitUsage;
       inputs.push_back(std::move(in));
     }
-    std::int64_t next_seq = runs.empty() ? 1 : runs.back().seq + 1;
-    std::size_t added = 0;
-    if (cmd == "append") {
-      RunRecord rec = record_from_envelopes(inputs);
-      if (rec.virt.empty() && rec.host.empty() && rec.model.empty() &&
-          rec.ft.empty()) {
-        std::fprintf(stderr,
-                     "pdt-trend: no speedup_series, host, model or ft tuples "
-                     "found in the inputs\n");
-        return kExitFail;
-      }
-      rec.seq = next_seq;
-      rec.timestamp = stamp;
-      rec.label = label;
-      runs.push_back(std::move(rec));
-      added = 1;
-    } else {
-      for (const ReportInput& in : inputs) {
-        RunRecord rec;
-        std::string error;
-        if (!record_from_artifact(in, &rec, &error)) {
-          std::fprintf(stderr, "pdt-trend: %s: %s\n", in.name.c_str(),
-                       error.c_str());
-          return kExitUsage;
-        }
-        rec.seq = next_seq++;
-        rec.timestamp = stamp;
-        rec.label = label;
-        runs.push_back(std::move(rec));
-        ++added;
-      }
+    RunRecord rec = record_from_envelopes(inputs);
+    if (rec.virt.empty() && rec.host.empty() && rec.model.empty() &&
+        rec.ft.empty()) {
+      std::fprintf(stderr,
+                   "pdt-trend: no speedup_series, host, model or ft tuples "
+                   "found in the inputs\n");
+      return kExitFail;
     }
+    rec.seq = runs.empty() ? 1 : runs.back().seq + 1;
+    rec.timestamp = stamp;
+    rec.label = label;
+    runs.push_back(std::move(rec));
     if (!write_file_atomic(kSpec, registry_path, registry_text(runs))) {
       return kExitFail;
     }
-    std::fprintf(stderr, "pdt-trend: %s now holds %zu run(s) (+%zu)\n",
-                 registry_path.c_str(), runs.size(), added);
+    std::fprintf(stderr, "pdt-trend: %s now holds %zu run(s) (+1)\n",
+                 registry_path.c_str(), runs.size());
     return kExitOk;
   }
 

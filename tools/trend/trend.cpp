@@ -77,6 +77,66 @@ std::string ft_name(const TrendFtTuple& f) {
 
 }  // namespace
 
+// ------------------------------------------------------------ extraction --
+
+std::vector<DiffEntry> extract_entries(const std::vector<ReportInput>& inputs) {
+  std::vector<DiffEntry> out;
+  for (const ReportInput& in : inputs) {
+    if (in.root.get("schema").as_string() != "pdt-bench-v1") continue;
+    const std::string& harness = in.root.get("harness").as_string();
+    for (const JsonValue& sec : in.root.get("sections").array()) {
+      if (sec.get("type").as_string() != "speedup_series") continue;
+      for (const JsonValue& pt : sec.get("points").array()) {
+        DiffEntry e;
+        e.harness = harness;
+        e.workload = sec.get("workload").as_string();
+        e.formulation = sec.get("formulation").as_string();
+        e.procs = pt.get("procs").as_int();
+        e.time_us = pt.get("time_us").as_double();
+        e.speedup = pt.get("speedup").as_double();
+        e.efficiency = pt.get("efficiency").as_double();
+        out.push_back(std::move(e));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<HostEntry> extract_host_entries(
+    const std::vector<ReportInput>& inputs) {
+  // Gather all repeats per tuple first (keyed by first appearance), then
+  // collapse. samples[i] holds tuples[i]'s repeats.
+  std::vector<HostEntry> tuples;
+  std::vector<std::vector<double>> samples;
+  for (const ReportInput& in : inputs) {
+    if (in.root.get("schema").as_string() != "pdt-bench-v1") continue;
+    const std::string& harness = in.root.get("harness").as_string();
+    for (const JsonValue& sec : in.root.get("sections").array()) {
+      if (sec.get("type").as_string() != "instrumented_run") continue;
+      const JsonValue& host = sec.get("host");
+      if (host.is_null()) continue;
+      HostEntry e;
+      e.harness = harness;
+      e.tag = sec.get("tag").as_string();
+      e.formulation = sec.get("formulation").as_string();
+      e.procs = sec.get("procs").as_int();
+      std::size_t i = 0;
+      while (i < tuples.size() && !same_host(tuples[i], e)) ++i;
+      if (i == tuples.size()) {
+        tuples.push_back(std::move(e));
+        samples.emplace_back();
+      }
+      samples[i].push_back(host.get("total_ns").as_double());
+    }
+  }
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    tuples[i].k = static_cast<std::int64_t>(samples[i].size());
+    tuples[i].median_ns = median_of(samples[i]);
+    tuples[i].mad_ns = mad_of(samples[i]);
+  }
+  return tuples;
+}
+
 // -------------------------------------------------------------- registry --
 
 bool parse_registry(std::string_view text, std::vector<RunRecord>* out,
@@ -289,7 +349,7 @@ RunRecord record_from_envelopes(const std::vector<ReportInput>& inputs) {
   RunRecord rec;
   // The virtual clock is deterministic, so repeat envelopes carry
   // identical tuples — keep the first sighting of each.
-  for (DiffEntry& e : extract_entries(inputs, {})) {
+  for (DiffEntry& e : extract_entries(inputs)) {
     bool seen = false;
     for (const DiffEntry& u : rec.virt) {
       if (same_virt(u, e)) {
@@ -425,63 +485,55 @@ RunRecord record_from_envelopes(const std::vector<ReportInput>& inputs) {
   return rec;
 }
 
-bool record_from_artifact(const ReportInput& input, RunRecord* out,
-                          std::string* error) {
-  const std::string& schema = input.root.get("schema").as_string();
-  if (schema == "pdt-bench-v1") {
-    *out = record_from_envelopes({input});
-    return true;
-  }
-  if (schema == "pdt-diff-baseline-v1") {
-    *out = RunRecord{};
-    return parse_baseline(input.root, &out->virt, error);
-  }
-  if (schema == "pdt-host-baseline-v1") {
-    *out = RunRecord{};
-    std::vector<HostEntry> entries;
-    if (!parse_host_baseline(input.root, &entries, error)) return false;
-    out->host.reserve(entries.size());
-    for (HostEntry& e : entries) {
-      TrendHostTuple t;
-      t.entry = std::move(e);
-      out->host.push_back(std::move(t));
-    }
-    return true;
-  }
-  if (error != nullptr) {
-    *error = "cannot ingest schema \"" + schema +
-             "\" (want pdt-bench-v1, pdt-diff-baseline-v1, or "
-             "pdt-host-baseline-v1)";
-  }
-  return false;
-}
-
 // -------------------------------------------------------------- analysis --
 
 namespace {
 
-// 1.4826 scales a MAD to the sigma it estimates under normal noise (the
-// same constant pdt-diff --host uses, so the two gates agree).
+// 1.4826 scales a MAD to the sigma it estimates under normal noise.
 constexpr double kMadToSigma = 1.4826;
+
+/// A further virtual field of a tuple, gated like its time_us.
+struct Field {
+  const char* name;
+  std::vector<double> values;
+};
 
 /// One tuple's time series across the registry, oldest first.
 struct Series {
   std::string name;
+  std::string harness;  ///< for the missing-within-a-harness rule
   bool is_host = false;
   std::vector<std::int64_t> seqs;
   std::vector<double> values;   ///< time_us (virtual) or median_ns (host)
   std::vector<double> mads;     ///< per-run mad_ns (host only; else 0)
+  /// speedup and efficiency of a speedup_series tuple; empty for host
+  /// and pdt-ft-v1 series.
+  std::vector<Field> fields;
 };
 
 /// Verdict of one rolling changepoint test at series position `pos`
 /// (comparing values[pos] against the trailing `window` earlier points).
 struct Verdict {
   bool tested = false;     ///< false when pos has no earlier points
-  bool regression = false;
-  bool improved = false;
+  bool regression = false; ///< host: slower past the band; virtual: drift
+  bool improved = false;   ///< host only: faster past the band
   double base = 0.0;       ///< trailing-window median
   double band = 0.0;       ///< allowed |delta| around base
+  std::vector<double> field_bases;  ///< window medians of Series::fields
 };
+
+/// |cur - base| / |base|; infinite when only base is 0.
+double rel_drift(double base, double cur) {
+  if (base == 0.0) return cur == 0.0 ? 0.0 : HUGE_VAL;
+  return std::fabs((cur - base) / base);
+}
+
+/// Signed drift of `cur` against `base` at 4 decimals, e.g. "+0.0000%".
+std::string drift_pct(double base, double cur) {
+  if (base == 0.0) return cur == 0.0 ? "+0.0000%" : "from 0";
+  const double pct = 100.0 * (cur - base) / base;
+  return (pct >= 0.0 ? "+" : "") + fmt(pct, 4) + "%";
+}
 
 Verdict test_at(const Series& s, std::size_t pos, const TrendOptions& opt) {
   Verdict v;
@@ -490,25 +542,50 @@ Verdict test_at(const Series& s, std::size_t pos, const TrendOptions& opt) {
       pos > static_cast<std::size_t>(opt.window)
           ? pos - static_cast<std::size_t>(opt.window)
           : 0;
-  std::vector<double> win(s.values.begin() + static_cast<std::ptrdiff_t>(lo),
-                          s.values.begin() + static_cast<std::ptrdiff_t>(pos));
+  const auto window = [&](const std::vector<double>& f) {
+    return std::vector<double>(f.begin() + static_cast<std::ptrdiff_t>(lo),
+                               f.begin() + static_cast<std::ptrdiff_t>(pos));
+  };
+  const std::vector<double> win = window(s.values);
   v.tested = true;
   v.base = median_of(win);
   if (s.is_host) {
-    // Same band semantics as pdt-diff --host (DESIGN.md section 9), with
-    // the across-run spread of the window's medians standing in for the
-    // baseline's within-run MAD.
+    // The band of DESIGN.md section 9, with the across-run spread of the
+    // window's medians standing in for a baseline's within-run MAD.
     v.band = std::max(opt.tol * v.base,
                       opt.mad_k * kMadToSigma * (mad_of(win) + s.mads[pos]));
-  } else {
-    // The virtual clock is deterministic: a plain relative tolerance.
-    v.band = opt.vtol * v.base;
+    const double delta = s.values[pos] - v.base;
+    if (std::fabs(delta) > v.band) {
+      (delta > 0.0 ? v.regression : v.improved) = true;
+    }
+    return v;
   }
-  const double delta = s.values[pos] - v.base;
-  if (std::fabs(delta) > v.band) {
-    (delta > 0.0 ? v.regression : v.improved) = true;
+  // The virtual clock is deterministic: time_us and every further field
+  // must stay within vtol of the window median, in either direction.
+  v.band = opt.vtol * std::fabs(v.base);
+  v.regression = rel_drift(v.base, s.values[pos]) > opt.vtol;
+  for (const Field& f : s.fields) {
+    v.field_bases.push_back(median_of(window(f.values)));
+    v.regression = v.regression ||
+                   rel_drift(v.field_bases.back(), f.values[pos]) > opt.vtol;
   }
   return v;
+}
+
+/// Whether `rec` holds a tuple of the same kind (host, or virtual:
+/// speedup or ft) from the same harness as `s`.
+bool harness_ran(const RunRecord& rec, const Series& s) {
+  if (s.is_host) {
+    return std::any_of(rec.host.begin(), rec.host.end(),
+                       [&](const TrendHostTuple& t) {
+                         return t.entry.harness == s.harness;
+                       });
+  }
+  return std::any_of(rec.virt.begin(), rec.virt.end(),
+                     [&](const DiffEntry& e) { return e.harness == s.harness; }) ||
+         std::any_of(rec.ft.begin(), rec.ft.end(), [&](const TrendFtTuple& f) {
+           return f.harness == s.harness;
+         });
 }
 
 /// Collect every tuple's series across the registry (virtual tuples
@@ -527,11 +604,15 @@ std::vector<Series> collect_series(const std::vector<RunRecord>& runs) {
         vkeys.push_back(e);
         Series s;
         s.name = virt_name(e);
+        s.harness = e.harness;
+        s.fields = {{"speedup", {}}, {"efficiency", {}}};
         out.push_back(std::move(s));
       }
       out[i].seqs.push_back(rec.seq);
       out[i].values.push_back(e.time_us);
       out[i].mads.push_back(0.0);
+      out[i].fields[0].values.push_back(e.speedup);
+      out[i].fields[1].values.push_back(e.efficiency);
     }
   }
   const std::size_t host_base = out.size();
@@ -545,6 +626,7 @@ std::vector<Series> collect_series(const std::vector<RunRecord>& runs) {
         hkeys.push_back(t.entry);
         Series s;
         s.name = host_name(t.entry);
+        s.harness = t.entry.harness;
         s.is_host = true;
         out.push_back(std::move(s));
       }
@@ -570,9 +652,10 @@ std::vector<Series> collect_series(const std::vector<RunRecord>& runs) {
         fkeys.push_back(f);
         Series time_s;
         time_s.name = ft_name(f) + " [time]";
-        out.push_back(std::move(time_s));
-        Series ovhd_s;
+        time_s.harness = f.harness;
+        Series ovhd_s = time_s;
         ovhd_s.name = ft_name(f) + " [overhead]";
+        out.push_back(std::move(time_s));
         out.push_back(std::move(ovhd_s));
       }
       out[ft_base + 2 * i].seqs.push_back(rec.seq);
@@ -712,17 +795,21 @@ int run_trend_check(const std::vector<RunRecord>& runs,
     std::vector<int> marks(s.values.size(), 0);  // +1 up, -1 down
     Verdict last;
     for (std::size_t i = 1; i < s.values.size(); ++i) {
-      const Verdict v = test_at(s, i, opt);
-      if (v.regression) marks[i] = 1;
+      Verdict v = test_at(s, i, opt);
+      if (v.regression) marks[i] = s.values[i] >= v.base ? 1 : -1;
       if (v.improved) marks[i] = -1;
-      if (i + 1 == s.values.size()) last = v;
+      if (i + 1 == s.values.size()) last = std::move(v);
     }
 
     std::string verdict = "ok";
     if (!gated) {
       verdict = "ok";
     } else if (!in_latest) {
-      verdict = "missing";
+      // A tuple its harness stopped emitting while it still emitted
+      // others of the same kind is a hole in the run; a harness that did
+      // not run at all (a narrowed run) only warns.
+      verdict = harness_ran(runs.back(), s) ? "MISSING" : "missing";
+      if (verdict == "MISSING") ++regressions;
     } else if (last.tested && last.regression) {
       verdict = "REGRESSION";
       ++regressions;
@@ -732,28 +819,36 @@ int run_trend_check(const std::vector<RunRecord>& runs,
 
     if (gated) {
       const double latest = s.values.back();
-      const char* tagc = verdict == "REGRESSION" ? "FAIL    "
+      const char* tagc = verdict == "REGRESSION" || verdict == "MISSING"
+                             ? "FAIL    "
                          : verdict == "IMPROVED" ? "IMPROVED"
                          : verdict == "missing"  ? "MISSING "
                                                  : "ok      ";
       os << tagc << (s.is_host ? "[host] " : "[virt] ") << s.name;
-      if (verdict == "missing") {
-        // Completeness is pdt-diff's job; the trend gate only warns so a
-        // narrowed harness run cannot hard-fail history it never touched.
+      if (verdict == "MISSING") {
+        os << " — absent from latest run, which holds other " << s.harness
+           << (s.is_host ? " host" : " virtual") << " tuples\n";
+      } else if (verdict == "missing") {
         os << " — absent from latest run (warning)\n";
-      } else if (last.tested) {
+      } else if (!last.tested) {
+        os << " — first appearance (n=1)\n";
+      } else if (s.is_host) {
         const double delta = latest - last.base;
-        os << " — " << (s.is_host ? fmt_ms(last.base) : fmt(last.base, 1))
-           << " -> " << (s.is_host ? fmt_ms(latest) : fmt(latest, 1))
-           << (s.is_host ? " ms" : " us") << " ("
-           << (delta >= 0.0 ? "+" : "")
+        os << " — " << fmt_ms(last.base) << " -> " << fmt_ms(latest)
+           << " ms (" << (delta >= 0.0 ? "+" : "")
            << fmt(last.base != 0.0 ? 100.0 * delta / last.base : 0.0, 1)
-           << "%), band ±"
-           << (s.is_host ? fmt_ms(last.band) : fmt(last.band, 1))
-           << (s.is_host ? " ms" : " us") << ", n=" << s.values.size()
+           << "%), band ±" << fmt_ms(last.band) << " ms, n=" << s.values.size()
            << "\n";
       } else {
-        os << " — first appearance (n=1)\n";
+        os << " — time " << fmt(last.base, 1) << " -> " << fmt(latest, 1)
+           << " us (" << drift_pct(last.base, latest) << ")";
+        for (std::size_t k = 0; k < s.fields.size(); ++k) {
+          const double cur = s.fields[k].values.back();
+          os << ", " << s.fields[k].name << " " << fmt(last.field_bases[k], 3)
+             << " -> " << fmt(cur, 3) << " ("
+             << drift_pct(last.field_bases[k], cur) << ")";
+        }
+        os << ", n=" << s.values.size() << "\n";
       }
     }
 
@@ -929,7 +1024,7 @@ int run_trend_check(const std::vector<RunRecord>& runs,
   if (gated) {
     os << (regressions == 0 ? "OK" : "REGRESSION") << ": " << regressions
        << " tuple" << (regressions == 1 ? "" : "s")
-       << " regressed against the trailing window\n";
+       << " failed against the trailing window\n";
   }
   return regressions;
 }

@@ -1,12 +1,12 @@
 // Cross-run performance history: the pdt-runs-v1 registry, changepoint
-// gating, and regression explanation.
+// gating, and regression explanation. This is the suite's one perf gate:
+// the committed registry (bench/history/runs.jsonl) is the baseline
+// store, and `check --window 1` against it is the CI regression gate.
 //
-// pdt-diff answers "did THIS build drift from ONE committed baseline?".
-// pdt-trend answers the production question the paper's Fig. 6-9
-// arguments rest on: "what is the *trajectory*?" — a perf time series
-// across harness runs, each record stamped with the EnvFingerprint of
-// the build that produced it, so a regression can be pinned to a commit,
-// a compiler, or a machine change.
+// The question the paper's Fig. 6-9 arguments rest on is "what is the
+// *trajectory*?" — a perf time series across harness runs, each record
+// stamped with the EnvFingerprint of the build that produced it, so a
+// regression can be pinned to a commit, a compiler, or a machine change.
 //
 // The registry is an append-only JSONL archive (one pdt-runs-v1 record
 // per line, one record per harness run) holding, per run:
@@ -19,15 +19,20 @@
 //     cells that let `explain` name what moved,
 //   * optional wait-for blame edges from pdt-replay-v1 inputs.
 //
-// `check` is the noise-aware gate over the series: for each tuple in
-// the latest record, the trailing window of earlier records collapses
-// to median + MAD and the verdict uses the same band semantics as
-// `pdt-diff --host` (DESIGN.md section 9):
-//   band = max(tol * window_median, mad_k * 1.4826 * (window_mad + cur_mad))
-// A latest value above the band is a REGRESSION (exit 1); below it is an
-// IMPROVEMENT (a changepoint worth a look, not a failure). The same
-// rolling test applied at every prior position yields the changepoint
-// markers the trend report draws.
+// `check` gates each tuple of the latest record against the trailing
+// window of earlier records, collapsed to median (+ MAD for host time):
+//   * virtual tuples (deterministic clocks) fail when time_us, speedup
+//     or efficiency drifts past vtol in either direction;
+//   * host tuples use a noise band (DESIGN.md section 9)
+//       band = max(tol * window_median,
+//                  mad_k * 1.4826 * (window_mad + cur_mad))
+//     and only a latest value above it is a REGRESSION (exit 1); below
+//     it is an IMPROVEMENT (a changepoint worth a look, not a failure);
+//   * a tuple absent from the latest record fails when that record holds
+//     another tuple of the same kind from the same harness, and is only a
+//     warning when the whole harness did not run.
+// The same rolling test applied at every prior position yields the
+// changepoint markers the trend report draws.
 //
 // Like every tool here, pdt-trend links no simulator libraries and its
 // outputs depend only on the input bytes.
@@ -40,9 +45,46 @@
 #include <vector>
 
 #include "common/json_value.hpp"
-#include "diff/diff.hpp"
+#include "report/report.hpp"
 
 namespace pdt::tools {
+
+/// One deterministic virtual tuple: a (harness, workload, formulation,
+/// procs) point of a speedup_series and its results.
+struct DiffEntry {
+  std::string harness;
+  std::string workload;
+  std::string formulation;
+  std::int64_t procs = 0;
+  double time_us = 0.0;
+  double speedup = 0.0;
+  double efficiency = 0.0;
+};
+
+/// One host-time tuple with its repeats collapsed to median + MAD (median
+/// absolute deviation, a spread one slow repeat cannot skew), both in
+/// nanoseconds; k = number of repeats observed.
+struct HostEntry {
+  std::string harness;
+  std::string tag;
+  std::string formulation;
+  std::int64_t procs = 0;
+  std::int64_t k = 0;
+  double median_ns = 0.0;
+  double mad_ns = 0.0;
+};
+
+/// Every speedup_series point of every pdt-bench-v1 input, in input
+/// order. Other inputs contribute nothing.
+[[nodiscard]] std::vector<DiffEntry> extract_entries(
+    const std::vector<ReportInput>& inputs);
+
+/// The host total_ns of every instrumented_run section that has one,
+/// across all pdt-bench-v1 inputs (each input = one repeat), collapsed
+/// per tuple to median + MAD. Tuples keep first-appearance order;
+/// sections without a "host" member contribute nothing.
+[[nodiscard]] std::vector<HostEntry> extract_host_entries(
+    const std::vector<ReportInput>& inputs);
 
 /// One (phase, level) host-time cell of a tuple: the median host
 /// nanoseconds the cell cost across the run's repeats, next to the
@@ -54,8 +96,8 @@ struct TrendCell {
   double virtual_us = 0.0;
 };
 
-/// A host tuple (median-of-k + MAD, as in pdt-diff --host) plus its
-/// per-(phase, level) attribution cells.
+/// A host tuple (median-of-k + MAD) plus its per-(phase, level)
+/// attribution cells.
 struct TrendHostTuple {
   HostEntry entry;
   std::vector<TrendCell> cells;
@@ -146,19 +188,13 @@ struct RunRecord {
 [[nodiscard]] RunRecord record_from_envelopes(
     const std::vector<ReportInput>& inputs);
 
-/// Fold one pre-registry artifact into a record: a pdt-diff-baseline-v1
-/// (virtual tuples), a pdt-host-baseline-v1 (host tuples, no cells), or
-/// a full pdt-bench-v1 envelope. Returns false on any other schema.
-[[nodiscard]] bool record_from_artifact(const ReportInput& input,
-                                        RunRecord* out, std::string* error);
-
 // ------------------------------------------------------------ analysis --
 
 struct TrendOptions {
   int window = 5;      ///< trailing records the baseline collapses from
-  double tol = 0.5;    ///< host relative floor (matches pdt-diff --host)
+  double tol = 0.5;    ///< host relative floor of the noise band
   double mad_k = 5.0;  ///< host sigmas of combined jitter to forgive
-  double vtol = 0.02;  ///< virtual relative tolerance (matches the CI gate)
+  double vtol = 0.02;  ///< virtual relative tolerance (the CI gate's)
   int top_cells = 5;   ///< (phase, level) cells ranked per explanation
 };
 
@@ -166,7 +202,7 @@ struct TrendOptions {
 /// tuple of the latest record to `os` and, when `doc` is non-null, the
 /// machine-readable pdt-trend-v1 report (series, changepoint markers,
 /// explain summaries — what pdt-report renders as the trend section).
-/// Returns the number of regressions (0 when the registry holds fewer
+/// Returns the number of failed tuples (0 when the registry holds fewer
 /// than two records — no history, nothing to gate).
 [[nodiscard]] int run_trend_check(const std::vector<RunRecord>& runs,
                                   const TrendOptions& opt, std::ostream& os,
