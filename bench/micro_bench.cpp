@@ -46,11 +46,15 @@ void BM_QuestGenerate(benchmark::State& state) {
 BENCHMARK(BM_QuestGenerate)->Arg(1000)->Arg(10000);
 
 void BM_HistogramAccumulate(benchmark::State& state) {
+  // The fig6 shape: pre-binned Quest (nine categorical byte columns),
+  // rows in the random order the formulations hold them. Items are
+  // row x attribute cells.
   const data::Dataset& ds = quest_binned();
   const dtree::SlotMapper mapper(ds, 32);
   const dtree::AttrLayout layout(ds.schema(), 32);
-  std::vector<data::RowId> rows(static_cast<std::size_t>(state.range(0)));
-  std::iota(rows.begin(), rows.end(), data::RowId{0});
+  std::vector<data::RowId> rows =
+      data::partition_random(ds.num_rows(), 1, 1)[0];
+  rows.resize(static_cast<std::size_t>(state.range(0)));
   dtree::Hist h(static_cast<std::size_t>(layout.total()));
   for (auto _ : state) {
     std::fill(h.begin(), h.end(), 0);

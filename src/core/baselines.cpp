@@ -103,9 +103,10 @@ ParResult build_vertical(const data::Dataset& ds, const ParOptions& opt) {
 
         std::vector<std::vector<data::RowId>> child_rows(
             static_cast<std::size_t>(d.test.num_children));
+        const std::uint8_t* slots = mapper.slot_column(d.test.attr);
         for (const data::RowId row : fn->rows) {
-          const int slot = mapper.slot(d.test.attr, row);
-          child_rows[static_cast<std::size_t>(d.test.child_of_slot(slot))]
+          child_rows[static_cast<std::size_t>(
+                         d.test.child_of_slot(slots[row]))]
               .push_back(row);
         }
         for (int k = 0; k < d.test.num_children; ++k) {
@@ -228,13 +229,14 @@ ParResult build_host_worker(const data::Dataset& ds, const ParOptions& opt) {
         for (auto& ch : children) {
           ch.worker_rows.resize(static_cast<std::size_t>(workers));
         }
+        const std::uint8_t* slots = mapper.slot_column(d.test.attr);
         for (int w = 0; w < workers; ++w) {
           auto& rows = chunk[i]->worker_rows[static_cast<std::size_t>(w)];
           if (rows.empty()) continue;
           machine.charge_compute(w + 1, static_cast<double>(rows.size()));
           for (const data::RowId row : rows) {
-            const int slot = mapper.slot(d.test.attr, row);
-            children[static_cast<std::size_t>(d.test.child_of_slot(slot))]
+            children[static_cast<std::size_t>(
+                         d.test.child_of_slot(slots[row]))]
                 .worker_rows[static_cast<std::size_t>(w)]
                 .push_back(row);
           }

@@ -586,7 +586,7 @@ void DurableCheckpointer::save(std::vector<CkptPart> parts,
   snap.record_words = ctx_->record_words();
   snap.cost = cm;
   snap.fingerprint = fingerprint_;
-  snap.tree_json = dtree::canonical_nodes_json(tree);
+  snap.tree_json = dtree::canonical_nodes_json(tree, order);
   snap.tree_digest = dtree::sha256_hex(snap.tree_json);
   snap.parts = std::move(parts);
   snap.idle = std::move(idle);

@@ -414,12 +414,13 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
       const bool raw_threshold =
           ctx.options().exact_continuous &&
           d.test.kind == dtree::SplitTest::Kind::Threshold;
+      const std::uint8_t* slots = mapper.slot_column(d.test.attr);
+      const double* values =
+          raw_threshold ? ctx.dataset().cont_column(d.test.attr).data()
+                        : nullptr;
       const auto child_of = [&](data::RowId row) {
-        return raw_threshold
-                   ? (ctx.dataset().cont(d.test.attr, row) < d.test.threshold
-                          ? 0
-                          : 1)
-                   : d.test.child_of_slot(mapper.slot(d.test.attr, row));
+        return raw_threshold ? (values[row] < d.test.threshold ? 0 : 1)
+                             : d.test.child_of_slot(slots[row]);
       };
       std::vector<std::size_t> sizes(
           static_cast<std::size_t>(d.test.num_children));

@@ -1,10 +1,14 @@
 // Columnar training set.
 //
-// Storage is column-major: one int32 column per categorical attribute, one
-// double column per continuous attribute, plus the int32 class-label
-// column. Column-major layout matches the access pattern of histogram
-// construction (one attribute scanned at a time) and of the attribute-list
-// style algorithms (SLIQ/SPRINT) the paper builds on.
+// Storage is column-major, one layout for every run: a byte column per
+// categorical attribute and a byte class-label column (a value or label
+// is its own slot, so the histogram kernel reads it as is), and a double
+// column per continuous attribute (the per-node discretizers, the exact
+// thresholds and Tree::route read the raw values). Column-major layout
+// matches the access pattern of histogram construction (one attribute
+// scanned at a time) and of the attribute-list style algorithms
+// (SLIQ/SPRINT) the paper builds on. The layout is host memory of the
+// simulator; the simulated record size is core::ParContext's.
 #pragma once
 
 #include <cassert>
@@ -15,10 +19,16 @@
 
 namespace pdt::data {
 
+/// Most values a byte column holds: the largest categorical cardinality,
+/// class count and continuous micro-bin count.
+inline constexpr int kMaxSlots = 256;
+
 class Dataset {
  public:
   Dataset() = default;
   /// Create an empty dataset with capacity reserved for `expected_rows`.
+  /// Throws std::invalid_argument when a categorical cardinality or the
+  /// class count exceeds kMaxSlots.
   explicit Dataset(Schema schema, std::size_t expected_rows = 0);
 
   [[nodiscard]] const Schema& schema() const { return schema_; }
@@ -43,10 +53,10 @@ class Dataset {
     return labels_[row];
   }
 
-  [[nodiscard]] const std::vector<std::int32_t>& labels() const {
+  [[nodiscard]] const std::vector<std::uint8_t>& labels() const {
     return labels_;
   }
-  [[nodiscard]] const std::vector<std::int32_t>& cat_column(int attr) const {
+  [[nodiscard]] const std::vector<std::uint8_t>& cat_column(int attr) const {
     return cat_[static_cast<std::size_t>(attr)];
   }
   [[nodiscard]] const std::vector<double>& cont_column(int attr) const {
@@ -58,9 +68,9 @@ class Dataset {
 
  private:
   Schema schema_;
-  std::vector<std::vector<std::int32_t>> cat_;  // empty vec for continuous
+  std::vector<std::vector<std::uint8_t>> cat_;  // empty vec for continuous
   std::vector<std::vector<double>> cont_;       // empty vec for categorical
-  std::vector<std::int32_t> labels_;
+  std::vector<std::uint8_t> labels_;
 };
 
 }  // namespace pdt::data

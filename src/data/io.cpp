@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace pdt::data {
@@ -92,7 +93,24 @@ Dataset load_csv(std::istream& in) {
     }
   }
 
-  Dataset ds(Schema(std::move(attrs), num_classes));
+  Dataset ds;
+  try {
+    ds = Dataset(Schema(std::move(attrs), num_classes));
+  } catch (const std::invalid_argument& e) {  // more than kMaxSlots
+    throw std::runtime_error(std::string("csv: ") + e.what());
+  }
+  // A value outside its column's range would index past its histogram
+  // table (and wrap in the byte column), so it is rejected here.
+  const auto checked = [](const std::string& f, int limit,
+                          std::size_t row, const std::string& column) {
+    const int v = std::stoi(f);
+    if (v < 0 || v >= limit) {
+      throw std::runtime_error("csv: row " + std::to_string(row) +
+                               " column " + column + ": value " + f +
+                               " outside [0, " + std::to_string(limit) + ")");
+    }
+    return v;
+  };
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
@@ -100,11 +118,13 @@ Dataset load_csv(std::istream& in) {
     if (fields.size() != cols.size()) {
       throw std::runtime_error("csv: wrong field count in row: " + line);
     }
-    const std::size_t row = ds.add_row(std::stoi(fields.back()));
+    const std::size_t row = ds.add_row(
+        checked(fields.back(), num_classes, ds.num_rows(), "class"));
     for (int a = 0; a < ds.num_attributes(); ++a) {
       const auto& f = fields[static_cast<std::size_t>(a)];
-      if (ds.schema().attr(a).is_categorical()) {
-        ds.set_cat(a, row, std::stoi(f));
+      const Attribute& attr = ds.schema().attr(a);
+      if (attr.is_categorical()) {
+        ds.set_cat(a, row, checked(f, attr.cardinality, row, attr.name));
       } else {
         ds.set_cont(a, row, std::stod(f));
       }

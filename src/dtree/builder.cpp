@@ -55,9 +55,9 @@ Tree grow_bfs(const data::Dataset& ds, const GrowOptions& opt,
       ++local.nodes_expanded;
       std::vector<std::vector<data::RowId>> child_rows(
           static_cast<std::size_t>(d.test.num_children));
+      const std::uint8_t* slots = mapper.slot_column(d.test.attr);
       for (const data::RowId row : fn.rows) {
-        const int slot = mapper.slot(d.test.attr, row);
-        child_rows[static_cast<std::size_t>(d.test.child_of_slot(slot))]
+        child_rows[static_cast<std::size_t>(d.test.child_of_slot(slots[row]))]
             .push_back(row);
       }
       for (int k = 0; k < d.test.num_children; ++k) {

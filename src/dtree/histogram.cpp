@@ -10,17 +10,15 @@ namespace pdt::dtree {
 void accumulate(std::span<std::int64_t> h, const AttrLayout& layout,
                 const SlotMapper& mapper, std::span<const data::RowId> rows) {
   assert(h.size() == static_cast<std::size_t>(layout.total()));
-  const data::Dataset& ds = mapper.dataset();
-  const std::int32_t* labels = ds.labels().data();
+  const std::uint8_t* labels = mapper.dataset().labels().data();
   const int c_num = layout.num_classes();
   // Attribute by attribute, reading each slot straight from its column.
   for (int a = 0; a < layout.num_attributes(); ++a) {
     std::int64_t* table = h.data() + layout.offset(a);
-    mapper.with_slot_column(a, [&](const auto* col) {
-      for (const data::RowId row : rows) {
-        ++table[static_cast<std::ptrdiff_t>(col[row]) * c_num + labels[row]];
-      }
-    });
+    const std::uint8_t* col = mapper.slot_column(a);
+    for (const data::RowId row : rows) {
+      ++table[static_cast<std::ptrdiff_t>(col[row]) * c_num + labels[row]];
+    }
   }
 }
 
@@ -40,7 +38,7 @@ std::vector<std::int64_t> class_counts(std::span<const std::int64_t> h,
 std::vector<std::int64_t> class_counts(const data::Dataset& ds) {
   std::vector<std::int64_t> counts(
       static_cast<std::size_t>(ds.schema().num_classes()), 0);
-  for (const std::int32_t label : ds.labels()) {
+  for (const std::uint8_t label : ds.labels()) {
     ++counts[static_cast<std::size_t>(label)];
   }
   return counts;

@@ -152,7 +152,11 @@ std::vector<int> canonical_order(const Tree& tree) {
 }
 
 std::string canonical_nodes_json(const Tree& tree) {
-  const std::vector<int> order = canonical_order(tree);
+  return canonical_nodes_json(tree, canonical_order(tree));
+}
+
+std::string canonical_nodes_json(const Tree& tree,
+                                 std::span<const int> order) {
   std::vector<int> canon_of(static_cast<std::size_t>(tree.num_nodes()), -1);
   for (std::size_t k = 0; k < order.size(); ++k) {
     canon_of[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
@@ -183,7 +187,8 @@ std::string model_digest(const Tree& tree) {
 std::string model_json(const Tree& tree, const ModelMeta& meta,
                        std::span<const SplitAuditEntry> audit,
                        double accuracy) {
-  const std::string nodes = canonical_nodes_json(tree);
+  const std::vector<int> order = canonical_order(tree);
+  const std::string nodes = canonical_nodes_json(tree, order);
   std::string out = "{\"schema\":\"pdt-model-v1\"";
   out += ",\"meta\":{";
   out += "\"harness\":\"" + escaped(meta.harness) + "\"";
@@ -205,8 +210,7 @@ std::string model_json(const Tree& tree, const ModelMeta& meta,
   }
   out += "}";
   out += ",\"digest\":\"" + sha256_hex(nodes) + "\"";
-  out += ",\"num_nodes\":" +
-         std::to_string(static_cast<int>(canonical_order(tree).size()));
+  out += ",\"num_nodes\":" + std::to_string(static_cast<int>(order.size()));
   out += ",\"num_leaves\":" + std::to_string(tree.num_leaves());
   out += ",\"depth\":" + std::to_string(tree.depth());
   out += ",\"nodes\":" + nodes;
@@ -214,7 +218,6 @@ std::string model_json(const Tree& tree, const ModelMeta& meta,
   // Pairing rule: audit entries survive iff their node is a reachable
   // internal node of the *final* tree (a leaf-ified or detached node's
   // decision was revoked), remapped to canonical ids and sorted by them.
-  const std::vector<int> order = canonical_order(tree);
   std::vector<int> canon_of(static_cast<std::size_t>(tree.num_nodes()), -1);
   for (std::size_t k = 0; k < order.size(); ++k) {
     canon_of[static_cast<std::size_t>(order[k])] = static_cast<int>(k);

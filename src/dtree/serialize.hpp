@@ -66,6 +66,10 @@ struct ModelMeta {
 
 /// The canonical "nodes" array — the exact byte string the digest covers.
 [[nodiscard]] std::string canonical_nodes_json(const Tree& tree);
+/// The same bytes, for a caller that already holds `order` =
+/// canonical_order(tree), so the tree is walked once.
+[[nodiscard]] std::string canonical_nodes_json(const Tree& tree,
+                                               std::span<const int> order);
 
 /// SHA-256 hex of canonical_nodes_json(tree).
 [[nodiscard]] std::string model_digest(const Tree& tree);

@@ -54,18 +54,22 @@ int code_of(double v, const std::vector<double>& cuts, double lo, double hi) {
 
 SlotMapper::SlotMapper(const data::Dataset& ds, int cont_bins)
     : ds_(&ds), cont_bins_(cont_bins) {
-  if (cont_bins > kMaxContBins) {
+  if (cont_bins > data::kMaxSlots) {
     throw std::invalid_argument("SlotMapper: cont_bins " +
                                 std::to_string(cont_bins) + " exceeds " +
-                                std::to_string(kMaxContBins));
+                                std::to_string(data::kMaxSlots));
   }
   const int n = ds.num_attributes();
   cuts_.resize(static_cast<std::size_t>(n));
   lo_.resize(static_cast<std::size_t>(n), 0.0);
   hi_.resize(static_cast<std::size_t>(n), 0.0);
   codes_.resize(static_cast<std::size_t>(n));
+  columns_.resize(static_cast<std::size_t>(n));
   for (int a = 0; a < n; ++a) {
-    if (!ds.schema().attr(a).is_continuous()) continue;
+    if (ds.schema().attr(a).is_categorical()) {
+      columns_[static_cast<std::size_t>(a)] = ds.cat_column(a).data();
+      continue;
+    }
     assert(cont_bins >= 2);
     const auto [lo, hi] = ds.cont_range(a);
     lo_[static_cast<std::size_t>(a)] = lo;
@@ -78,6 +82,7 @@ SlotMapper::SlotMapper(const data::Dataset& ds, int cont_bins)
     for (std::size_t row = 0; row < col.size(); ++row) {
       codes[row] = static_cast<std::uint8_t>(code_of(col[row], cuts, lo, hi));
     }
+    columns_[static_cast<std::size_t>(a)] = codes.data();
   }
 }
 

@@ -8,6 +8,12 @@
 //   * a continuous attribute's slots are micro-bins over its global range
 //     (the histogram the per-node discretizers of Section 3.4 consume).
 //
+// Every slot is one byte (at most data::kMaxSlots per attribute), and
+// SlotMapper hands out one byte column per attribute indexed by row: the
+// dataset's own column of a categorical attribute, a code column it fills
+// once per run for a continuous one. The histogram kernel and every row
+// partition read these columns and nothing else.
+//
 // AttrLayout packs all per-attribute class-distribution tables for one
 // tree node into a single flat buffer of int64 counts — this buffer is the
 // unit of communication in all three parallel formulations (size
@@ -70,35 +76,29 @@ class AttrLayout {
 /// A row's slot is a pure function of the row, so the mapper computes it
 /// once: the constructor fills one byte-wide code column of N entries per
 /// continuous attribute (equal to data::bin_of against the cuts for every
-/// cell). Categorical attributes read the dataset's own int32 column,
-/// whose values already are slots. The code table is host memory of the
-/// simulator, not part of any simulated rank's record store.
+/// cell). A categorical attribute's slot column is the dataset's own byte
+/// column, whose values already are slots. The code columns are host
+/// memory of the simulator, not part of any simulated rank's record store.
+///
+/// The mapper points into its own code columns and into the dataset, so
+/// it moves but does not copy, and the dataset must outlive it.
 class SlotMapper {
  public:
-  /// Largest `cont_bins` a byte-wide code can hold.
-  static constexpr int kMaxContBins = 256;
-
   SlotMapper() = default;
-  /// Throws std::invalid_argument when `cont_bins` > kMaxContBins.
+  /// Throws std::invalid_argument when `cont_bins` > data::kMaxSlots.
   SlotMapper(const data::Dataset& ds, int cont_bins);
+  SlotMapper(SlotMapper&&) = default;
+  SlotMapper& operator=(SlotMapper&&) = default;
 
   [[nodiscard]] int cont_bins() const { return cont_bins_; }
 
-  /// Calls `f(col)` with a pointer to the attribute's slot column, indexed
-  /// by row: the byte-wide code column of a continuous attribute, or the
-  /// dataset's int32 column of a categorical one. `f` must return the same
-  /// type for both pointer types.
-  template <typename F>
-  decltype(auto) with_slot_column(int attr, F&& f) const {
-    if (ds_->schema().attr(attr).is_categorical()) {
-      return f(ds_->cat_column(attr).data());
-    }
-    return f(codes_[static_cast<std::size_t>(attr)].data());
+  /// The attribute's slot column: entry `row` is the slot of that row.
+  [[nodiscard]] const std::uint8_t* slot_column(int attr) const {
+    return columns_[static_cast<std::size_t>(attr)];
   }
 
   [[nodiscard]] int slot(int attr, std::size_t row) const {
-    return with_slot_column(
-        attr, [row](const auto* col) { return static_cast<int>(col[row]); });
+    return slot_column(attr)[row];
   }
 
   /// Slot of a raw continuous value.
@@ -126,6 +126,7 @@ class SlotMapper {
   std::vector<std::vector<double>> cuts_;  // empty for categorical attrs
   std::vector<double> lo_, hi_;            // per-attr global range (cont)
   std::vector<std::vector<std::uint8_t>> codes_;  // empty for categorical
+  std::vector<const std::uint8_t*> columns_;      // slot column per attr
 };
 
 }  // namespace pdt::dtree

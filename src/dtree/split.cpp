@@ -9,21 +9,6 @@
 
 namespace pdt::dtree {
 
-int SplitTest::child_of_slot(int slot) const {
-  switch (kind) {
-    case Kind::Threshold:
-    case Kind::OrderedSlot:
-      return slot <= slot_threshold ? 0 : 1;
-    case Kind::Subset:
-      return in_left[static_cast<std::size_t>(slot)] ? 0 : 1;
-    case Kind::Multiway:
-      return slot;
-    case Kind::Leaf:
-      return 0;
-  }
-  return 0;
-}
-
 namespace {
 
 /// Candidate slot boundaries for a continuous attribute under per-node

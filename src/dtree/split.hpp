@@ -68,8 +68,22 @@ struct SplitTest {
   std::vector<std::uint8_t> in_left;  ///< Subset only: one flag per value
   int num_children = 0;
 
-  /// Which child a training row in slot `slot` routes to.
-  [[nodiscard]] int child_of_slot(int slot) const;
+  /// Which child a training row in slot `slot` routes to (inline: the
+  /// row partitions call it once per row).
+  [[nodiscard]] int child_of_slot(int slot) const {
+    switch (kind) {
+      case Kind::Threshold:
+      case Kind::OrderedSlot:
+        return slot <= slot_threshold ? 0 : 1;
+      case Kind::Subset:
+        return in_left[static_cast<std::size_t>(slot)] ? 0 : 1;
+      case Kind::Multiway:
+        return slot;
+      case Kind::Leaf:
+        return 0;
+    }
+    return 0;
+  }
   [[nodiscard]] bool is_leaf() const { return kind == Kind::Leaf; }
 };
 

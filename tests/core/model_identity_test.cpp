@@ -16,23 +16,30 @@
 namespace pdt::core {
 namespace {
 
-data::Dataset quest_binned(std::size_t n, std::uint64_t seed) {
+data::Dataset quest_binned(std::size_t n, std::uint64_t seed,
+                           int function = 2) {
   return data::discretize_uniform(
-      data::quest_generate(n, {.function = 2, .seed = seed}),
+      data::quest_generate(n, {.function = function, .seed = seed}),
       data::quest_paper_bins());
 }
 
+// Pre-binned (all-categorical) data: every slot the kernel and the row
+// partitions read is the dataset's own byte column.
 TEST(ModelIdentity, DigestInvariantAcrossFormulationsAndProcs) {
-  const data::Dataset ds = quest_binned(3000, 21);
-  ParOptions opt;
-  const std::string want = dtree::model_digest(build_serial(ds, opt).tree);
-  for (const Formulation f :
-       {Formulation::Sync, Formulation::Partitioned, Formulation::Hybrid}) {
-    for (const int p : {4, 8}) {
-      opt.num_procs = p;
-      const ParResult res = build(f, ds, opt);
-      EXPECT_EQ(dtree::model_digest(res.tree), want)
-          << to_string(f) << " P=" << p;
+  for (const int function : {2, 7}) {
+    const data::Dataset ds = quest_binned(3000, 21, function);
+    ParOptions opt;
+    const dtree::Tree serial = build_serial(ds, opt).tree;
+    ASSERT_GT(serial.num_nodes(), 1) << "F" << function;
+    const std::string want = dtree::model_digest(serial);
+    for (const Formulation f :
+         {Formulation::Sync, Formulation::Partitioned, Formulation::Hybrid}) {
+      for (const int p : {1, 3, 5, 8}) {
+        opt.num_procs = p;
+        const ParResult res = build(f, ds, opt);
+        EXPECT_EQ(dtree::model_digest(res.tree), want)
+            << "F" << function << " " << to_string(f) << " P=" << p;
+      }
     }
   }
 }

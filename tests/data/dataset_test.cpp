@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace pdt::data {
 namespace {
 
@@ -74,7 +76,34 @@ TEST(Dataset, ColumnsExposeContiguousData) {
   }
   EXPECT_EQ(ds.cat_column(0).size(), 3u);
   EXPECT_EQ(ds.cont_column(1)[2], 3.0);
-  EXPECT_EQ(ds.labels(), (std::vector<std::int32_t>{0, 1, 0}));
+  EXPECT_EQ(ds.cat_column(0), (std::vector<std::uint8_t>{0, 1, 2}));
+  EXPECT_EQ(ds.labels(), (std::vector<std::uint8_t>{0, 1, 0}));
+}
+
+TEST(Dataset, ByteColumnsHoldTheFullSlotRange) {
+  // 256 values and 256 classes fit a byte column; 0 and 255 round-trip.
+  std::vector<Attribute> attrs;
+  attrs.push_back(Attribute::categorical("wide", kMaxSlots));
+  attrs.push_back(Attribute::continuous("x"));
+  Dataset ds(Schema(std::move(attrs), kMaxSlots), 2);
+  for (const std::int32_t v : {0, 255}) {
+    const std::size_t r = ds.add_row(v);
+    ds.set_cat(0, r, v);
+    ds.set_cont(1, r, 0.5);
+  }
+  EXPECT_EQ(ds.cat(0, 0), 0);
+  EXPECT_EQ(ds.cat(0, 1), 255);
+  EXPECT_EQ(ds.label(0), 0);
+  EXPECT_EQ(ds.label(1), 255);
+  EXPECT_EQ(ds.labels(), (std::vector<std::uint8_t>{0, 255}));
+}
+
+TEST(Dataset, MoreThan256ValuesOrClassesIsRejected) {
+  EXPECT_THROW(
+      Dataset(Schema({Attribute::categorical("wide", kMaxSlots + 1)}, 2)),
+      std::invalid_argument);
+  EXPECT_THROW(Dataset(Schema({Attribute::continuous("x")}, kMaxSlots + 1)),
+               std::invalid_argument);
 }
 
 TEST(Dataset, ContRange) {

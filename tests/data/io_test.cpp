@@ -80,6 +80,38 @@ TEST(Csv, RejectsMalformedInput) {
 
   std::stringstream bad_row("x:cont,class:cat:2\n1.0\n");
   EXPECT_THROW((void)load_csv(bad_row), std::runtime_error);
+
+  // Values outside [0, cardinality) or [0, num_classes): the error names
+  // the row and the column.
+  const auto message_of = [](const std::string& text) -> std::string {
+    std::stringstream in(text);
+    try {
+      (void)load_csv(in);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string cat_high =
+      message_of("c:cat:3,class:cat:2\n0,1\n3,0\n");
+  EXPECT_NE(cat_high.find("row 1"), std::string::npos) << cat_high;
+  EXPECT_NE(cat_high.find("column c"), std::string::npos) << cat_high;
+  const std::string cat_negative = message_of("c:cat:3,class:cat:2\n-1,0\n");
+  EXPECT_NE(cat_negative.find("row 0"), std::string::npos) << cat_negative;
+  EXPECT_NE(cat_negative.find("column c"), std::string::npos) << cat_negative;
+  const std::string label_high =
+      message_of("x:cont,class:cat:2\n1.0,0\n2.0,1\n3.0,2\n");
+  EXPECT_NE(label_high.find("row 2"), std::string::npos) << label_high;
+  EXPECT_NE(label_high.find("column class"), std::string::npos) << label_high;
+  EXPECT_NE(message_of("x:cont,class:cat:2\n1.0,-1\n"), "no error");
+
+  // A header declaring more than 256 values or classes.
+  std::stringstream wide_cat("c:cat:257,class:cat:2\n0,0\n");
+  EXPECT_THROW((void)load_csv(wide_cat), std::runtime_error);
+  std::stringstream wide_class("x:cont,class:cat:257\n1.0,0\n");
+  EXPECT_THROW((void)load_csv(wide_class), std::runtime_error);
+  std::stringstream widest_ok("c:cat:256,class:cat:256\n255,255\n");
+  EXPECT_EQ(load_csv(widest_ok).cat(0, 0), 255);
 }
 
 TEST(Csv, FileRoundTrip) {

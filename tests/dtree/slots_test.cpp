@@ -102,13 +102,20 @@ TEST(SlotMapper, BinCentersBetweenBoundaries) {
 }
 
 /// Every cell: the code table of a continuous attribute holds exactly the
-/// slot data::bin_of gives against the mapper's cuts, and a categorical
-/// attribute's slot is its value.
+/// slot data::bin_of gives against the mapper's cuts, a categorical
+/// attribute's slot column is the dataset's own byte column, and the slot
+/// column agrees with slot().
 void expect_codes_match_bin_of(const data::Dataset& ds,
                                const SlotMapper& mapper) {
   for (int a = 0; a < ds.num_attributes(); ++a) {
+    const std::uint8_t* col = mapper.slot_column(a);
+    const bool categorical = ds.schema().attr(a).is_categorical();
+    if (categorical) {
+      ASSERT_EQ(col, ds.cat_column(a).data()) << "attr " << a;
+    }
     for (std::size_t row = 0; row < ds.num_rows(); ++row) {
-      if (ds.schema().attr(a).is_categorical()) {
+      ASSERT_EQ(col[row], mapper.slot(a, row)) << "attr " << a;
+      if (categorical) {
         ASSERT_EQ(mapper.slot(a, row), ds.cat(a, row)) << "attr " << a;
         continue;
       }
@@ -138,6 +145,7 @@ data::Dataset continuous_columns(
 }
 
 TEST(SlotMapperCodes, QuestCellsEqualBinOf) {
+  // Raw Quest mixes continuous and categorical attributes.
   const data::Dataset ds = data::quest_generate(5000, {.function = 7, .seed = 9});
   for (const int bins : {2, 32, 256}) {
     expect_codes_match_bin_of(ds, SlotMapper(ds, bins));
@@ -185,7 +193,7 @@ TEST(SlotMapperCodes, NonFiniteValuesFallBackToBinOf) {
 
 TEST(SlotMapperCodes, MoreThan256BinsIsRejected) {
   const data::Dataset ds = data::quest_generate(50, {.seed = 3});
-  EXPECT_NO_THROW(SlotMapper(ds, SlotMapper::kMaxContBins));
+  EXPECT_NO_THROW(SlotMapper(ds, data::kMaxSlots));
   EXPECT_THROW(SlotMapper(ds, 257), std::invalid_argument);
 }
 
