@@ -91,6 +91,47 @@ BENCHMARK(BM_HistogramAccumulateContinuous)
     ->Arg(10000)
     ->Arg(50000);
 
+void BM_HistogramDerive(benchmark::State& state) {
+  // Histogram subtraction's own step: the larger child's histogram as
+  // parent minus sibling, over one node's flat buffer of the fig8 layout
+  // (raw Quest, 32 micro-bins). Items are histogram entries.
+  const data::Dataset& ds = quest_raw();
+  const dtree::SlotMapper mapper(ds, 32);
+  const dtree::AttrLayout layout(ds.schema(), 32);
+  std::vector<data::RowId> rows =
+      data::partition_random(ds.num_rows(), 1, 1)[0];
+  dtree::Hist parent(static_cast<std::size_t>(layout.total()));
+  dtree::Hist sibling(parent.size());
+  dtree::accumulate(parent, layout, mapper, rows);
+  rows.resize(rows.size() / 3);
+  dtree::accumulate(sibling, layout, mapper, rows);
+  dtree::Hist h(parent.size());
+  for (auto _ : state) {
+    std::copy(parent.begin(), parent.end(), h.begin());
+    dtree::subtract(h, sibling);
+    benchmark::DoNotOptimize(h.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          layout.total());
+}
+BENCHMARK(BM_HistogramDerive);
+
+void BM_SlotMapperBuild(benchmark::State& state) {
+  // Filling the slot-code columns, once per build: 160k raw Quest records
+  // (the fig8 benchmark's size), 32 micro-bins. Items are the continuous
+  // cells coded.
+  static const data::Dataset ds =
+      data::quest_generate(160000, {.function = 2, .seed = 1});
+  for (auto _ : state) {
+    const dtree::SlotMapper mapper(ds, 32);
+    benchmark::DoNotOptimize(mapper.slot_column(0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ds.num_rows()) *
+                          ds.schema().num_continuous());
+}
+BENCHMARK(BM_SlotMapperBuild)->Unit(benchmark::kMillisecond);
+
 void BM_ChooseSplit(benchmark::State& state) {
   const data::Dataset& ds = quest_binned();
   const dtree::SlotMapper mapper(ds, 32);

@@ -64,6 +64,36 @@ dtree::SplitDecision choose_split_exact(std::span<const std::int64_t> hist,
   return tracker.take();
 }
 
+/// Histogram subtraction (host only): accumulate every smaller child's
+/// global histogram from its routed rows and derive the largest child's
+/// as `parent` minus its siblings', saving that child's scan at the next
+/// level. Done only when the largest child holds at least
+/// layout().total() rows, so the scan saved outweighs the histograms held
+/// until the next level; families of smaller nodes are left to their own
+/// expansion.
+void fill_child_hists(ParContext& ctx, std::span<const std::int64_t> parent,
+                      std::vector<NodeWork>& children) {
+  const dtree::AttrLayout& layout = ctx.layout();
+  std::size_t big = 0;
+  for (std::size_t k = 1; k < children.size(); ++k) {
+    if (children[k].total_records() > children[big].total_records()) big = k;
+  }
+  if (children[big].total_records() < layout.total()) return;
+  dtree::Hist& derived = children[big].hist;
+  derived.assign(parent.begin(), parent.end());
+  for (std::size_t k = 0; k < children.size(); ++k) {
+    const std::int64_t n = children[k].total_records();
+    if (k == big || n == 0) continue;
+    dtree::Hist& h = children[k].hist;
+    h.assign(derived.size(), 0);
+    for (const auto& rows : children[k].local_rows) {
+      if (!rows.empty()) dtree::accumulate(h, layout, ctx.mapper(), rows);
+    }
+    ctx.cells_accumulated += n * layout.num_attributes();
+    dtree::subtract(derived, h);
+  }
+}
+
 }  // namespace
 
 std::int64_t NodeWork::total_records() const {
@@ -265,15 +295,27 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
       // in the shared buffer — arithmetically identical to reducing
       // per-member local histograms, while each member is charged for its
       // own share of the update work (this is where load imbalance
-      // surfaces as idle time at the following collective).
+      // surfaces as idle time at the following collective). A node whose
+      // histogram its parent's expansion filled in is copied, not
+      // accumulated; every member is charged either way.
       for (std::size_t i = c0; i < c1; ++i) {
         auto node_hist =
             std::span<std::int64_t>(hist).subspan((i - c0) * static_cast<std::size_t>(entries),
                                                   static_cast<std::size_t>(entries));
+        dtree::Hist& known = work[i]->hist;
+        const bool derived = !known.empty();
+        if (derived) {
+          std::copy(known.begin(), known.end(), node_hist.begin());
+          dtree::Hist().swap(known);
+        }
         for (int m = 0; m < p; ++m) {
           const auto& rows = work[i]->local_rows[static_cast<std::size_t>(m)];
           if (rows.empty()) continue;
-          dtree::accumulate(node_hist, layout, mapper, rows);
+          if (!derived) {
+            dtree::accumulate(node_hist, layout, mapper, rows);
+            ctx.cells_accumulated +=
+                static_cast<std::int64_t>(rows.size()) * num_attrs;
+          }
           machine.charge_compute(g.rank(m),
                                  static_cast<double>(rows.size()) * num_attrs);
           // Eq. 1's "I/O scan of the training set": the attribute lists are
@@ -444,6 +486,9 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
         }
         rows.clear();
         rows.shrink_to_fit();
+      }
+      if (tree.node(first).depth < grow.max_depth) {
+        fill_child_hists(ctx, node_hist, children);
       }
       for (int k = 0; k < d.test.num_children; ++k) {
         auto& ch = children[static_cast<std::size_t>(k)];

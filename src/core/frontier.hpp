@@ -20,6 +20,13 @@ struct NodeWork {
   int node_id = -1;
   /// local_rows[m] = rows held by group member m (index into group ranks).
   std::vector<std::vector<data::RowId>> local_rows;
+  /// The node's global histogram (layout().total() entries) when its
+  /// parent's expansion already filled it in by histogram subtraction;
+  /// empty means unknown, and the node's own expansion accumulates it
+  /// from the rows. A global histogram does not depend on which rank
+  /// holds the rows, so row moves keep it; it is host state only and is
+  /// not checkpointed.
+  dtree::Hist hist;
 
   [[nodiscard]] std::int64_t total_records() const;
   [[nodiscard]] std::int64_t member_records(int m) const {
@@ -130,6 +137,8 @@ class ParContext {
 
   /// Result accounting, appended to by the formulations.
   std::int64_t records_moved = 0;
+  /// (row x attribute) cells the host histogram kernel touched.
+  std::int64_t cells_accumulated = 0;
   double histogram_words = 0.0;
   int levels = 0;
   int partition_splits = 0;
@@ -160,7 +169,13 @@ class ParContext {
 /// group `g` (Section 3.1): local histograms per member, all-reduce in
 /// comm_buffer_nodes-sized flushes, identical split selection everywhere,
 /// local row partitioning. Returns the next frontier (children that
-/// received records). `comm_cost_out`, when non-null, accrues the
+/// received records). When the largest child of a split holds at least
+/// layout().total() rows and the children are below max_depth, the
+/// smaller children's histograms are accumulated from their routed rows
+/// and the largest one's is derived as parent minus siblings (NodeWork::
+/// hist); a node that arrives with its histogram is not accumulated
+/// again. This is host work only: every node is still charged for a full
+/// histogram build. `comm_cost_out`, when non-null, accrues the
 /// communication cost charged to each member this level (the quantity the
 /// hybrid's split criterion accumulates).
 [[nodiscard]] std::vector<NodeWork> expand_level(

@@ -99,6 +99,7 @@ std::pair<HPartition, HPartition> split_partition(ParContext& ctx,
       NodeWork& nw = part.frontier[j];
       NodeWork out;
       out.node_id = nw.node_id;
+      out.hist = std::move(nw.hist);
       out.local_rows.resize(static_cast<std::size_t>(h));
       const bool to_a = side[j] == 0;
       for (int m = 0; m < p; ++m) {

@@ -128,6 +128,11 @@ struct ParResult {
   std::int64_t records_moved = 0;
   /// Total histogram words all-reduced.
   double histogram_words = 0.0;
+  /// (row x attribute) cells the host histogram kernel touched: every
+  /// histogrammed node's rows x attributes, less the rows of the children
+  /// derived by histogram subtraction. A host work counter; it appears in
+  /// no artifact, and a failed level's work is rolled back with the tree.
+  std::int64_t cells_accumulated = 0;
   /// Per-rank virtual-memory accounts at run end (live/peak bytes per
   /// MemTag). Always populated — byte accounting runs with or without an
   /// observability sink, since it never touches the clocks.

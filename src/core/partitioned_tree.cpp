@@ -108,6 +108,7 @@ std::vector<std::vector<NodeWork>> shuffle_to_parts(
     const std::int64_t total = child.total_records();
     NodeWork moved;
     moved.node_id = child.node_id;
+    moved.hist = std::move(child.hist);
     moved.local_rows.resize(static_cast<std::size_t>(q));
 
     // Fair-share targets over the part's members.

@@ -51,6 +51,7 @@ LevelCheckpoint take_checkpoint(ParContext& ctx, const mpsim::Group& g,
   ck.tree = ctx.tree();
   ck.frontier = f;
   ck.ranks = g.ranks();
+  ck.cells_accumulated = ctx.cells_accumulated;
 
   mpsim::Time io_total = 0.0;
   std::int64_t records = 0;
@@ -155,7 +156,10 @@ void recover_from_failure(ParContext& ctx, mpsim::Group& g,
   // Roll the replicated tree back to the cut. Nothing else ran between the
   // checkpoint and the failure (the simulation advances one partition at a
   // time), so a whole-tree copy cannot lose another partition's expansions.
+  // The kernel's work counter rolls back with it: the retried level
+  // redoes exactly the work the failed attempt lost.
   ctx.tree() = ckpt.tree;
+  ctx.cells_accumulated = ckpt.cells_accumulated;
 
   // Rebuild the frontier indexed to the survivor group: survivors keep
   // their own checkpointed shards, and each dead member's rows are cut
@@ -168,6 +172,7 @@ void recover_from_failure(ParContext& ctx, mpsim::Group& g,
   for (const NodeWork& nw : ckpt.frontier) {
     NodeWork out;
     out.node_id = nw.node_id;
+    out.hist = nw.hist;
     out.local_rows.resize(static_cast<std::size_t>(q));
     std::vector<data::RowId> dead_rows;
     for (std::size_t m = 0; m < ckpt.ranks.size(); ++m) {

@@ -25,6 +25,7 @@ struct LevelCheckpoint {
   std::vector<mpsim::Rank> ranks;       ///< group members at the cut
   std::vector<mpsim::MemStats> mem;     ///< per-member byte accounts
   std::int64_t bytes = 0;               ///< record bytes written to store
+  std::int64_t cells_accumulated = 0;   ///< ParContext's counter at the cut
 };
 
 /// Write a level checkpoint: copy the partition state, charge each member

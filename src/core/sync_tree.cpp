@@ -29,6 +29,7 @@ ParResult collect_result(ParContext& ctx) {
   res.rejoins = ctx.rejoins;
   res.records_moved = ctx.records_moved;
   res.histogram_words = ctx.histogram_words;
+  res.cells_accumulated = ctx.cells_accumulated;
   res.recovery = ctx.recovery;
   res.trace = m.trace().events();
   return res;

@@ -63,7 +63,8 @@ class Dataset {
     return cont_[static_cast<std::size_t>(attr)];
   }
 
-  /// Min / max of a continuous column (asserts non-empty).
+  /// Min / max of a continuous column (std::minmax_element's picks).
+  /// Throws std::invalid_argument when the column is empty.
   [[nodiscard]] std::pair<double, double> cont_range(int attr) const;
 
  private:

@@ -1,9 +1,12 @@
 #include "data/io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace pdt::data {
@@ -23,6 +26,39 @@ std::vector<std::string> split(const std::string& line, char sep) {
   }
   out.push_back(cur);
   return out;
+}
+
+/// The whole of `f` as a number: from_chars must consume every byte, so
+/// `2x`, `1.5abc`, an empty field and leading blanks are all rejected.
+/// `what` names the field for the error ("row 3 column x").
+template <typename T>
+T parse_number(const std::string& f, const std::string& what) {
+  T v{};
+  const char* end = f.data() + f.size();
+  const auto [ptr, ec] = std::from_chars(f.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    throw std::runtime_error("csv: " + what + ": '" + f + "' is not " +
+                             (std::is_integral_v<T> ? "an integer"
+                                                    : "a number"));
+  }
+  return v;
+}
+
+/// A header count (cardinality, class count): a positive integer.
+int parse_count(const std::string& f, const std::string& column) {
+  const int v = parse_number<int>(f, "header column " + column);
+  if (v < 1) {
+    throw std::runtime_error("csv: header column " + column + ": count " +
+                             f + " is not positive");
+  }
+  return v;
+}
+
+/// getline without a CRLF file's trailing carriage return.
+bool read_line(std::istream& in, std::string& line) {
+  if (!std::getline(in, line)) return false;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return true;
 }
 
 }  // namespace
@@ -64,7 +100,7 @@ void save_csv_file(const Dataset& ds, const std::string& path) {
 
 Dataset load_csv(std::istream& in) {
   std::string header;
-  if (!std::getline(in, header)) {
+  if (!read_line(in, header)) {
     throw std::runtime_error("csv: empty input");
   }
   const auto cols = split(header, ',');
@@ -79,12 +115,12 @@ Dataset load_csv(std::istream& in) {
       if (parts.size() < 3 || parts[1] != "cat") {
         throw std::runtime_error("csv: malformed class column");
       }
-      num_classes = std::stoi(parts[2]);
+      num_classes = parse_count(parts[2], parts[0]);
       continue;
     }
     if (parts.size() >= 3 && parts[1] == "cat") {
       attrs.push_back(Attribute::categorical(
-          parts[0], std::stoi(parts[2]),
+          parts[0], parse_count(parts[2], parts[0]),
           parts.size() >= 4 && parts[3] == "o"));
     } else if (parts.size() >= 2 && parts[1] == "cont") {
       attrs.push_back(Attribute::continuous(parts[0]));
@@ -101,18 +137,20 @@ Dataset load_csv(std::istream& in) {
   }
   // A value outside its column's range would index past its histogram
   // table (and wrap in the byte column), so it is rejected here.
-  const auto checked = [](const std::string& f, int limit,
-                          std::size_t row, const std::string& column) {
-    const int v = std::stoi(f);
+  const auto field = [](std::size_t row, const std::string& column) {
+    return "row " + std::to_string(row) + " column " + column;
+  };
+  const auto checked = [&](const std::string& f, int limit, std::size_t row,
+                           const std::string& column) {
+    const int v = parse_number<int>(f, field(row, column));
     if (v < 0 || v >= limit) {
-      throw std::runtime_error("csv: row " + std::to_string(row) +
-                               " column " + column + ": value " + f +
+      throw std::runtime_error("csv: " + field(row, column) + ": value " + f +
                                " outside [0, " + std::to_string(limit) + ")");
     }
     return v;
   };
   std::string line;
-  while (std::getline(in, line)) {
+  while (read_line(in, line)) {
     if (line.empty()) continue;
     const auto fields = split(line, ',');
     if (fields.size() != cols.size()) {
@@ -126,10 +164,13 @@ Dataset load_csv(std::istream& in) {
       if (attr.is_categorical()) {
         ds.set_cat(a, row, checked(f, attr.cardinality, row, attr.name));
       } else {
-        ds.set_cont(a, row, std::stod(f));
+        ds.set_cont(a, row, parse_number<double>(f, field(row, attr.name)));
       }
     }
   }
+  // Nothing downstream has a meaning for zero records (a continuous
+  // column has no range to bin over).
+  if (ds.num_rows() == 0) throw std::runtime_error("csv: no data rows");
   return ds;
 }
 

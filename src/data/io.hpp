@@ -16,7 +16,9 @@ namespace pdt::data {
 void save_csv(const Dataset& ds, std::ostream& out);
 void save_csv_file(const Dataset& ds, const std::string& path);
 
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input, naming the row and
+/// column of a field that is not a number in full or is out of range,
+/// and on input with no data rows.
 [[nodiscard]] Dataset load_csv(std::istream& in);
 [[nodiscard]] Dataset load_csv_file(const std::string& path);
 

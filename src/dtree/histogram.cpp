@@ -22,6 +22,11 @@ void accumulate(std::span<std::int64_t> h, const AttrLayout& layout,
   }
 }
 
+void subtract(std::span<std::int64_t> h, std::span<const std::int64_t> other) {
+  assert(h.size() == other.size());
+  for (std::size_t e = 0; e < h.size(); ++e) h[e] -= other[e];
+}
+
 std::vector<std::int64_t> class_counts(std::span<const std::int64_t> h,
                                        const AttrLayout& layout) {
   const int c_num = layout.num_classes();

@@ -23,6 +23,10 @@ using Hist = std::vector<std::int64_t>;
 void accumulate(std::span<std::int64_t> h, const AttrLayout& layout,
                 const SlotMapper& mapper, std::span<const data::RowId> rows);
 
+/// h -= other, entry by entry (histogram subtraction: a child's histogram
+/// as its parent's minus its siblings').
+void subtract(std::span<std::int64_t> h, std::span<const std::int64_t> other);
+
 /// Per-class totals recovered from a flat histogram (sums attribute 0's
 /// table; every attribute's table has the same class marginals).
 [[nodiscard]] std::vector<std::int64_t> class_counts(

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -28,26 +29,39 @@ AttrLayout::AttrLayout(const data::Schema& schema, int cont_bins)
 
 namespace {
 
-/// data::bin_of(v, cuts) for the equal-width cuts of [lo, hi]: an O(1)
-/// guess from the bin width, then corrected against the stored cuts so
-/// that cuts[b-1] <= v < cuts[b] — the upper_bound position itself, also
-/// where rounding puts the guess one bin off or v lies exactly on a cut.
-/// It runs once per cell when the code table is filled; a binary search
-/// there made whole training runs measurably slower. A non-finite value
-/// or range (whose cuts may be NaN, hence unsorted) takes bin_of itself.
-int code_of(double v, const std::vector<double>& cuts, double lo, double hi) {
-  if (!std::isfinite(v) || !std::isfinite(hi - lo)) {
-    return data::bin_of(v, cuts);
+/// Fill codes[row] = data::bin_of(col[row], cuts) for the equal-width cuts
+/// of [lo, hi]: an O(1) guess from the bin width, then corrected against
+/// the stored cuts so that cuts[b-1] <= v < cuts[b] — the upper_bound
+/// position itself, also where rounding puts the guess one bin off or v
+/// lies exactly on a cut. It runs once per cell, so the range checks are
+/// made once per column and the division is a multiplication by the
+/// column's precomputed bins-per-unit; a binary search per cell made
+/// whole training runs measurably slower.
+void fill_codes(const std::vector<double>& col, const std::vector<double>& cuts,
+                double lo, double hi, std::uint8_t* codes) {
+  if (!std::isfinite(hi - lo)) {
+    // A non-finite range's cuts may be NaN, hence unsorted: bin_of itself.
+    for (std::size_t row = 0; row < col.size(); ++row) {
+      codes[row] = static_cast<std::uint8_t>(data::bin_of(col[row], cuts));
+    }
+    return;
   }
   const int last = static_cast<int>(cuts.size());
-  int b = last;  // a constant column: every cut equals lo
-  if (hi > lo) {
-    const double g = (v - lo) * (last + 1) / (hi - lo);
-    b = !(g > 0.0) ? 0 : g >= last ? last : static_cast<int>(g);
+  // A constant column's cuts all equal lo, so every value is in the last
+  // bin: an infinite scale sends lo (0 * inf is NaN) and everything else
+  // there without a branch per cell.
+  const double scale = hi > lo ? (last + 1) / (hi - lo)
+                               : std::numeric_limits<double>::infinity();
+  for (std::size_t row = 0; row < col.size(); ++row) {
+    const double v = col[row];
+    const double g = (v - lo) * scale;
+    // NaN fails both tests and starts, like bin_of's upper_bound, at
+    // `last`, where no comparison with it moves it.
+    int b = g < 0.0 ? 0 : g < last ? static_cast<int>(g) : last;
+    while (b < last && cuts[static_cast<std::size_t>(b)] <= v) ++b;
+    while (b > 0 && cuts[static_cast<std::size_t>(b - 1)] > v) --b;
+    codes[row] = static_cast<std::uint8_t>(b);
   }
-  while (b < last && cuts[static_cast<std::size_t>(b)] <= v) ++b;
-  while (b > 0 && cuts[static_cast<std::size_t>(b - 1)] > v) --b;
-  return b;
 }
 
 }  // namespace
@@ -79,9 +93,7 @@ SlotMapper::SlotMapper(const data::Dataset& ds, int cont_bins)
     const std::vector<double>& col = ds.cont_column(a);
     auto& codes = codes_[static_cast<std::size_t>(a)];
     codes.resize(col.size());
-    for (std::size_t row = 0; row < col.size(); ++row) {
-      codes[row] = static_cast<std::uint8_t>(code_of(col[row], cuts, lo, hi));
-    }
+    fill_codes(col, cuts, lo, hi, codes.data());
     columns_[static_cast<std::size_t>(a)] = codes.data();
   }
 }

@@ -28,6 +28,14 @@ void expect_all_formulations_match(const data::Dataset& ds,
   }
 }
 
+TEST(Robustness, EmptyDatasetWithAContinuousColumnThrows) {
+  // No records: a continuous column has no range to cut micro-bins from.
+  const data::Dataset empty(data::Schema(
+      {data::Attribute::continuous("x"), data::Attribute::categorical("y", 3)},
+      2));
+  EXPECT_THROW((void)build_serial(empty, ParOptions{}), std::invalid_argument);
+}
+
 TEST(Robustness, MoreProcessorsThanRecords) {
   data::Schema s({data::Attribute::categorical("v", 3)}, 2);
   data::Dataset ds(s, 5);

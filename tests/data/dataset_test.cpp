@@ -119,5 +119,10 @@ TEST(Dataset, ContRange) {
   EXPECT_DOUBLE_EQ(hi, 9.5);
 }
 
+TEST(Dataset, ContRangeOfAnEmptyColumnThrows) {
+  const Dataset ds(tiny_schema());
+  EXPECT_THROW((void)ds.cont_range(1), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace pdt::data

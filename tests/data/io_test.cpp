@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
 
 #include "data/golf.hpp"
 #include "data/quest.hpp"
@@ -104,6 +105,43 @@ TEST(Csv, RejectsMalformedInput) {
   EXPECT_NE(label_high.find("row 2"), std::string::npos) << label_high;
   EXPECT_NE(label_high.find("column class"), std::string::npos) << label_high;
   EXPECT_NE(message_of("x:cont,class:cat:2\n1.0,-1\n"), "no error");
+
+  // A field must be a number in full: no trailing bytes, no blanks, not
+  // empty. The error names the row and the column.
+  for (const auto& [text, row, column] :
+       {std::tuple{"c:cat:3,class:cat:2\n0,1\n2x,0\n", "row 1", "column c"},
+        std::tuple{"c:cat:3,class:cat:2\nabc,0\n", "row 0", "column c"},
+        std::tuple{"c:cat:3,class:cat:2\n 1,0\n", "row 0", "column c"},
+        std::tuple{"c:cat:3,class:cat:2\n1,0\n,1\n", "row 1", "column c"},
+        std::tuple{"x:cont,class:cat:2\n1.5abc,0\n", "row 0", "column x"},
+        std::tuple{"x:cont,class:cat:2\n1.0,0\nabc,1\n", "row 1", "column x"},
+        std::tuple{"x:cont,class:cat:2\n1e999,1\n", "row 0", "column x"},
+        std::tuple{"x:cont,class:cat:2\n1.0,1x\n", "row 0", "column class"}}) {
+    const std::string message = message_of(text);
+    EXPECT_NE(message.find(row), std::string::npos) << text << ": " << message;
+    EXPECT_NE(message.find(column), std::string::npos)
+        << text << ": " << message;
+  }
+  // The header's cardinality and class count: positive integers in full.
+  for (const char* text :
+       {"c:cat:3x,class:cat:2\n0,0\n", "c:cat:abc,class:cat:2\n0,0\n",
+        "c:cat:0,class:cat:2\n0,0\n", "x:cont,class:cat:2.5\n1.0,0\n",
+        "x:cont,class:cat:\n1.0,0\n"}) {
+    const std::string message = message_of(text);
+    EXPECT_NE(message.find("header column"), std::string::npos)
+        << text << ": " << message;
+  }
+  // A header with no data rows: a continuous column has no range.
+  std::stringstream header_only("x:cont,y:cat:3,class:cat:2\n");
+  EXPECT_THROW((void)load_csv(header_only), std::runtime_error);
+  std::stringstream blank_rows("x:cont,y:cat:3,class:cat:2\n\n\n");
+  EXPECT_THROW((void)load_csv(blank_rows), std::runtime_error);
+  // CRLF line ends are not part of the last field.
+  std::stringstream crlf("x:cont,y:cat:3,class:cat:2\r\n1.5,2,1\r\n");
+  const Dataset from_crlf = load_csv(crlf);
+  EXPECT_EQ(from_crlf.num_rows(), 1u);
+  EXPECT_DOUBLE_EQ(from_crlf.cont(0, 0), 1.5);
+  EXPECT_EQ(from_crlf.label(0), 1);
 
   // A header declaring more than 256 values or classes.
   std::stringstream wide_cat("c:cat:257,class:cat:2\n0,0\n");

@@ -92,6 +92,14 @@ TEST(Histogram, AccumulateIsAdditive) {
   accumulate(parts, layout, mapper, first);
   accumulate(parts, layout, mapper, rest);
   EXPECT_EQ(whole, parts);
+
+  // Histogram subtraction: the whole minus one part is the other part.
+  Hist first_only(static_cast<std::size_t>(layout.total()), 0);
+  accumulate(first_only, layout, mapper, first);
+  Hist rest_only(static_cast<std::size_t>(layout.total()), 0);
+  accumulate(rest_only, layout, mapper, rest);
+  subtract(whole, first_only);
+  EXPECT_EQ(whole, rest_only);
 }
 
 TEST(Histogram, EmptyRowsLeaveZeros) {
